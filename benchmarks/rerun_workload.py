@@ -55,7 +55,7 @@ def prove_mode(protocol: str) -> dict:
     from repro.protocols import ALL_PROTOCOLS
 
     bundle = ALL_PROTOCOLS[protocol].build()
-    plan = plan_of(bundle.program, bundle.invariant)
+    plan = plan_of(bundle.program)
     ledger = default_ledger()
     start = time.perf_counter()
     report = prove(plan, ledger=ledger)

@@ -23,17 +23,19 @@ import time
 
 from repro.core.bounded import check_k_invariance, find_error_trace
 from repro.logic import parse_formula
-from repro.protocols import distributed_lock, rml_sources
+from repro.protocols import distributed_lock
+from repro.protocols.base import model_file
 from repro.rml.parser import parse_program
 
 
 def broken_lock_server():
     """A lock server that grants without checking the server is free."""
-    source = rml_sources.LOCK_SERVER.replace(
+    original = model_file("lock_server").read_text()
+    source = original.replace(
         "    assume server_free;\n    remove lock_msg(c);",
         "    remove lock_msg(c);",
     )
-    assert source != rml_sources.LOCK_SERVER
+    assert source != original
     return parse_program(source)
 
 

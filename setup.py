@@ -11,5 +11,6 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    package_data={"repro.protocols": ["*.rml"]},
     python_requires=">=3.10",
 )

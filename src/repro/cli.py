@@ -11,8 +11,9 @@ Subcommands mirror the paper's workflow:
 * ``session <protocol>`` -- replay the interactive search with the oracle
   policy, printing the transcript and the G count (Figure 14);
 * ``table`` -- print the Figure 14 reproduction table;
-* ``verify <file.rml>`` -- parse an RML text model, run bounded debugging,
-  and check any invariant conjectures passed via ``--conjecture``;
+* ``verify <file.rml>`` -- parse an RML text model (or a bundled
+  protocol's packaged model), run bounded debugging, and check any
+  invariant conjectures passed via ``--conjecture``;
 * ``lint [target ...]`` -- static analysis: well-formedness, lint rules,
   and the quantifier-alternation-graph decidability check over every VC;
   targets are protocol names or ``.rml`` files, output is
@@ -239,6 +240,45 @@ def _bundle(name: str):
     return module.build()
 
 
+def _load_target(target: str):
+    """Read and parse a target: a bundled protocol name or an ``.rml`` file.
+
+    A bundled name reads its packaged model file, so both kinds of target
+    take the same path.  Returns ``(program, source, failure)``: when the
+    target cannot be parsed, ``program`` is None and ``failure`` is an
+    ``RML000`` diagnostic (``source`` is None as well when the target is
+    neither a protocol nor a file).
+    """
+    from .analysis.diagnostics import Diagnostics
+    from .logic.lexer import LexError, ParseError
+    from .protocols.base import model_file
+    from .rml.parser import parse_program
+
+    sink = Diagnostics(target)
+    if target in ALL_PROTOCOLS:
+        source = model_file(target).read_text()
+    elif os.path.exists(target):
+        with open(target) as handle:
+            source = handle.read()
+    else:
+        failure = sink.emit(
+            "RML000",
+            f"unknown target: neither a protocol "
+            f"({', '.join(sorted(ALL_PROTOCOLS))}) nor a file",
+        )
+        return None, None, failure
+    try:
+        return parse_program(source, check=False), source, None
+    except (LexError, ParseError) as error:
+        message = getattr(error, "bare_message", None) or str(error)
+        failure = sink.emit("RML000", message, span=error.span)
+    except ValueError as error:
+        # AST-constructor validation (duplicate declarations, bad sorts)
+        # raises ValueError without a span.
+        failure = sink.emit("RML000", str(error))
+    return None, source, failure
+
+
 def cmd_list(_args: argparse.Namespace) -> int:
     for name, module in sorted(ALL_PROTOCOLS.items()):
         bundle = module.build()
@@ -353,19 +393,11 @@ def cmd_table(_args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .analysis.diagnostics import Diagnostics, render_text
-    from .logic.lexer import LexError, ParseError
-    from .rml.parser import parse_program
+    from .analysis.diagnostics import render_text
 
-    with open(args.file) as handle:
-        source = handle.read()
-    try:
-        program = parse_program(source, check=False)
-    except (LexError, ParseError) as error:
-        sink = Diagnostics(args.file)
-        message = getattr(error, "bare_message", None) or str(error)
-        diagnostic = sink.emit("RML000", message, span=error.span)
-        print(render_text(diagnostic, source), file=sys.stderr)
+    program, source, failure = _load_target(args.file)
+    if program is None:
+        print(render_text(failure, source), file=sys.stderr)
         return EXIT_UNKNOWN
     conjectures = [
         Conjecture(f"C{i}", parse_formula(text, program.vocab))
@@ -415,9 +447,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     """Static analysis over protocol bundles and/or .rml files."""
     from .analysis import lint, to_json, to_sarif
-    from .analysis.diagnostics import Diagnostics, Severity, render_all
-    from .logic.lexer import LexError, ParseError
-    from .rml.parser import parse_program
+    from .analysis.diagnostics import Severity, render_all
 
     targets = list(args.targets)
     if args.all or not targets:
@@ -429,36 +459,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
             # A target that fails never aborts the batch: every failure
             # becomes a per-target RML000 diagnostic and the loop moves on
             # to the remaining targets.
-            if target in ALL_PROTOCOLS:
-                bundle = _bundle(target)
-                diagnostics.extend(lint.lint_program(bundle.program, origin=target))
-                continue
-            if not os.path.exists(target):
-                sink = Diagnostics(target)
-                sink.emit(
-                    "RML000",
-                    f"unknown target: neither a protocol "
-                    f"({', '.join(sorted(ALL_PROTOCOLS))}) nor a file",
-                )
-                diagnostics.extend(sink.items)
-                continue
-            with open(target) as handle:
-                source = handle.read()
-            sources[target] = source
-            try:
-                program = parse_program(source, check=False)
-            except (LexError, ParseError) as error:
-                sink = Diagnostics(target)
-                message = getattr(error, "bare_message", None) or str(error)
-                sink.emit("RML000", message, span=error.span)
-                diagnostics.extend(sink.items)
-                continue
-            except ValueError as error:
-                # AST-constructor validation (duplicate declarations, bad
-                # sorts) raises ValueError without a span.
-                sink = Diagnostics(target)
-                sink.emit("RML000", str(error))
-                diagnostics.extend(sink.items)
+            program, source, failure = _load_target(target)
+            if source is not None:
+                sources[target] = source
+            if program is None:
+                diagnostics.append(failure)
                 continue
             diagnostics.extend(lint.lint_program(program, origin=target))
     diagnostics.sort(key=lambda d: d.sort_key())
@@ -484,7 +489,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 1 if has_errors else 0
 
 
-def _analyze_report(target: str, program, conjectures) -> tuple[dict, list]:
+def _analyze_report(target: str, program) -> tuple[dict, list]:
     """The ``repro analyze`` report for one program (pure static).
 
     Returns ``(report dict, diagnostics)``.  Everything here is AST
@@ -500,7 +505,12 @@ def _analyze_report(target: str, program, conjectures) -> tuple[dict, list]:
     from .logic.sorts import StratificationError
     from .solver.grounding import GroundingExplosion, universe_estimate
 
-    named = [(c.name, c.formula) for c in conjectures]
+    try:
+        conjectures = [
+            Conjecture(inv.name, inv.formula) for inv in program.invariants
+        ]
+    except ValueError:
+        conjectures = []  # non-universal invariant: no slice preview
     transitions = [
         {
             "label": label,
@@ -510,7 +520,7 @@ def _analyze_report(target: str, program, conjectures) -> tuple[dict, list]:
         }
         for label, fp in transition_footprints(program)
     ]
-    graph = build_dependency_graph(program, named)
+    graph = build_dependency_graph(program)
     edges = [{"src": e.src, "dst": e.dst, "via": e.via} for e in graph.edges]
 
     def estimate(vocab) -> int | None:
@@ -548,7 +558,7 @@ def _analyze_report(target: str, program, conjectures) -> tuple[dict, list]:
             "interchangeable": report.interchangeable,
             "blockers": [b.reason for b in report.blockers],
         }
-        for report in analyze_program_symmetry(program, named)
+        for report in analyze_program_symmetry(program)
     ]
     diagnostics = list(semantic_diagnostics(program, origin=target))
     report = {
@@ -612,9 +622,7 @@ def _render_analyze_text(reports: list[dict], diagnostics: list) -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     """Semantic dependency analysis: ``repro analyze [target ...]``."""
     from .analysis import to_json, to_sarif
-    from .analysis.diagnostics import Diagnostics, Severity
-    from .logic.lexer import LexError, ParseError
-    from .rml.parser import parse_program
+    from .analysis.diagnostics import Severity
 
     targets = list(args.targets)
     if args.all or not targets:
@@ -625,42 +633,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for target in targets:
             # Same batch discipline as ``repro lint``: a failing target
             # becomes an RML000 diagnostic, never an aborted batch.
-            if target in ALL_PROTOCOLS:
-                bundle = _bundle(target)
-                program, conjectures = bundle.program, list(bundle.invariant)
-            elif not os.path.exists(target):
-                sink = Diagnostics(target)
-                sink.emit(
-                    "RML000",
-                    f"unknown target: neither a protocol "
-                    f"({', '.join(sorted(ALL_PROTOCOLS))}) nor a file",
-                )
-                diagnostics.extend(sink.items)
+            program, _source, failure = _load_target(target)
+            if program is None:
+                diagnostics.append(failure)
                 continue
-            else:
-                with open(target) as handle:
-                    source = handle.read()
-                try:
-                    program = parse_program(source, check=False)
-                except (LexError, ParseError) as error:
-                    sink = Diagnostics(target)
-                    message = getattr(error, "bare_message", None) or str(error)
-                    sink.emit("RML000", message, span=error.span)
-                    diagnostics.extend(sink.items)
-                    continue
-                except ValueError as error:
-                    sink = Diagnostics(target)
-                    sink.emit("RML000", str(error))
-                    diagnostics.extend(sink.items)
-                    continue
-                try:
-                    conjectures = [
-                        Conjecture(inv.name, inv.formula)
-                        for inv in program.invariants
-                    ]
-                except ValueError:
-                    conjectures = []  # non-universal invariant: no preview
-            report, found = _analyze_report(target, program, conjectures)
+            report, found = _analyze_report(target, program)
             reports.append(report)
             diagnostics.extend(found)
     diagnostics.sort(key=lambda d: d.sort_key())
@@ -698,41 +675,24 @@ def _ledger_of(args: argparse.Namespace):
 def _target_plan(args: argparse.Namespace):
     """Resolve ``args.target`` into ``(plan, origin, source)``.
 
-    Targets are protocol names (plan from the bundle's invariant) or
-    ``.rml`` files (plan from the declared ``invariant``/``proof``
-    blocks).  Files go through the collect-all diagnostics pass first, so
-    proof-layer errors -- unknown names, duplicate declarations, a
+    Targets are protocol names or ``.rml`` files; either way the plan
+    comes from the declared ``invariant``/``proof`` blocks.  The program
+    goes through the collect-all diagnostics pass first, so proof-layer
+    errors -- unknown names, duplicate declarations, a
     ``with``-cycle (``RML304``) -- are rejected here, before any solver
     work, with compiler-style sourced diagnostics.  Returns None after
     printing them (callers exit with ``EXIT_UNKNOWN``).
     """
+    from .analysis.diagnostics import Severity, render_text
     from .proof.manager import plan_of
-
-    target = args.target
-    if target in ALL_PROTOCOLS:
-        bundle = _bundle(target)
-        return plan_of(bundle.program, bundle.invariant), target, None
-    if not os.path.exists(target):
-        raise SystemExit(
-            f"unknown target {target!r}: neither a protocol "
-            f"({', '.join(sorted(ALL_PROTOCOLS))}) nor a file"
-        )
-    from .analysis.diagnostics import Diagnostics, Severity, render_text
-    from .logic.lexer import LexError, ParseError
-    from .rml.parser import parse_program
     from .rml.typecheck import program_diagnostics
 
-    with open(target) as handle:
-        source = handle.read()
-    try:
-        program = parse_program(source, check=False)
-    except (LexError, ParseError) as error:
-        sink = Diagnostics(target)
-        message = getattr(error, "bare_message", None) or str(error)
-        print(
-            render_text(sink.emit("RML000", message, span=error.span), source),
-            file=sys.stderr,
-        )
+    target = args.target
+    program, source, failure = _load_target(target)
+    if source is None:
+        raise SystemExit(render_text(failure))
+    if program is None:
+        print(render_text(failure, source), file=sys.stderr)
         return None
     diagnostics = [
         d.with_origin(target)

@@ -103,22 +103,16 @@ class ProofPlan:
         return self.dag.frontiers()
 
 
-def plan_of(
-    program: Program, conjectures: Sequence[Conjecture] = ()
-) -> ProofPlan:
-    """Build the proof plan for a program.
+def plan_of(program: Program) -> ProofPlan:
+    """Build the proof plan for a program from its declared blocks.
 
-    Declared ``invariant``/``proof`` blocks drive the plan when present;
-    ``conjectures`` supplements them for programmatic protocols (bundle
-    invariants) and joins the implicit main node.  The main node carries
-    every invariant no declared proof establishes, plus the program-wide
-    no-abort obligations.
+    Each ``proof`` declaration is a node; the implicit main node carries
+    every ``invariant`` no declared proof establishes, plus the
+    program-wide no-abort obligations.
     """
     named: dict[str, Conjecture] = {}
     for invariant in program.invariants:
         named[invariant.name] = Conjecture(invariant.name, invariant.formula)
-    for conjecture in conjectures:
-        named.setdefault(conjecture.name, conjecture)
 
     covered = provers_of(program.proofs)
     nodes: list[ProofNode] = []

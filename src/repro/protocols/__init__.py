@@ -1,7 +1,9 @@
 """The protocols of the paper's evaluation (Section 5, Figure 14).
 
-Each module exposes ``build() -> ProtocolBundle`` with the RML model, the
-safety property, and the inductive invariant found interactively:
+Each protocol is one RML file packaged here, ``<name>.rml``, holding the
+model, its safety property, and the inductive invariant found
+interactively (as ``invariant`` declarations).  Each module exposes
+``build() -> ProtocolBundle``, which parses that file:
 
 * :mod:`~repro.protocols.leader_election` -- leader election in a ring;
 * :mod:`~repro.protocols.lock_server` -- the Verdi lock server;

@@ -1,20 +1,22 @@
 """Shared infrastructure for the protocol models of Section 5.
 
-Each protocol module exposes a ``build()`` function returning a
-:class:`ProtocolBundle`: the RML program, the initial conjecture set (the
-safety property, as derived from the program's assertions), the known full
-inductive invariant (the end product of the paper's interactive sessions),
-and bookkeeping used by the Figure 14 reproduction (model-size statistics
-and recommended bounds/measures).
+Each protocol is one RML file, ``<name>.rml``, packaged next to this
+module.  Its module's ``build()`` calls :func:`load`, which parses the
+file into a :class:`ProtocolBundle`: the RML program, the initial
+conjecture set (the safety property), the known full inductive invariant
+(the file's ``invariant`` declarations -- the end product of the paper's
+interactive sessions), and the bookkeeping of the Figure 14 table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from importlib import resources
 
 from ..core.induction import Conjecture
 from ..logic import syntax as s
 from ..rml.ast import Program
+from ..rml.parser import parse_program
 
 
 @dataclass(frozen=True)
@@ -25,7 +27,6 @@ class ProtocolBundle:
     safety: tuple[Conjecture, ...]  # initial conjectures (column C of Fig. 14)
     invariant: tuple[Conjecture, ...]  # full inductive invariant (column I)
     bmc_bound: int = 3  # debugging bound used in our runs
-    notes: str = ""
 
     def sort_count(self) -> int:
         """Column S of Figure 14."""
@@ -45,6 +46,31 @@ class ProtocolBundle:
     def literal_count(self, conjectures: tuple[Conjecture, ...]) -> int:
         """Total literal count of a conjecture set (columns C and I)."""
         return sum(_literals(c.formula) for c in conjectures)
+
+
+def model_file(name: str):
+    """The packaged ``<name>.rml`` model of a bundled protocol."""
+    return resources.files(__package__).joinpath(f"{name}.rml")
+
+
+def load(
+    name: str, safety: tuple[str, ...] = ("C0",), bmc_bound: int = 3
+) -> ProtocolBundle:
+    """Parse the packaged model ``name`` into a bundle.
+
+    The invariant is the file's ``invariant`` declarations in order;
+    ``safety`` names the subset the interactive search starts from.
+    Typechecking is left to the pre-flight of the solving subcommands.
+    """
+    program = parse_program(model_file(name).read_text(), check=False)
+    invariant = tuple(Conjecture(i.name, i.formula) for i in program.invariants)
+    named = {c.name: c for c in invariant}
+    return ProtocolBundle(
+        program=program,
+        safety=tuple(named[n] for n in safety),
+        invariant=invariant,
+        bmc_bound=bmc_bound,
+    )
 
 
 def _literals(formula: s.Formula) -> int:

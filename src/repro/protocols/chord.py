@@ -1,227 +1,11 @@
 """Chord ring maintenance with a stable base (paper Section 5.1).
 
-Zave's analysis of Chord asks whether the ring-maintenance operations keep
-the ring correct; the paper models it in RML and interactively infers a
-*universally quantified* invariant where Zave's proof needed transitive
-closure.  Following DESIGN.md, this is the one protocol we reduce: the
-paper's model has Zave's full operation set (13 symbols, 46-literal
-invariant); ours keeps the structural core -- joins and stabilization over
-a stable base, no failures (the strongest form of the paper's "certain
-assumptions about failures") -- at the same single-sort granularity.
-
-Identifiers form a ring (the ``btw`` axioms of Figure 2).  The *stable
-base* is an initial set of nodes arranged in a correct ring.  New nodes
-join as *appendages*: they point at their correct ring successor but are
-not yet in the cycle; stabilization lets an appendage retarget to a closer
-active node, and integration splices an appendage between two ring members
-(the stabilize/rectify pair completing).
-
-Safety: the cycle order is preserved -- **a ring member's successor
-pointer never skips over another ring member** (this is the
-order-theoretic, universally quantifiable form of "the ring stays
-connected": following successors from any member visits every member, in
-particular the base).
+The model -- program, safety property and invariant -- is ``chord.rml``.
 """
 
-from __future__ import annotations
-
-from ..core.induction import Conjecture
-from ..logic import syntax as s
-from ..logic.parser import parse_formula, parse_term
-from ..logic.sorts import FuncDecl, RelDecl, Sort, vocabulary
-from ..rml.ast import Assume, Axiom, Havoc, Program, UpdateRel, choice, seq
-from ..rml.sugar import assert_, insert, remove
-from .base import ProtocolBundle
-
-NODE = Sort("node")
+from .base import ProtocolBundle, load
 
 
 def build() -> ProtocolBundle:
-    """Build the stable-base Chord model with its ring-order invariant."""
-    vocab = vocabulary(
-        sorts=[NODE],
-        relations=[
-            RelDecl("btw", (NODE, NODE, NODE)),  # rigid ring order
-            RelDecl("base", (NODE,)),  # rigid stable base
-            RelDecl("a", (NODE,)),  # active members
-            RelDecl("in_ring", (NODE,)),  # members woven into the cycle
-            RelDecl("s", (NODE, NODE)),  # successor pointer
-            RelDecl("p", (NODE, NODE)),  # predecessor pointer
-        ],
-        functions=[
-            FuncDecl("x", (), NODE),
-            FuncDecl("y", (), NODE),
-            FuncDecl("w", (), NODE),
-            FuncDecl("z", (), NODE),
-        ],
-    )
-
-    def fml(source: str, free=None) -> s.Formula:
-        return parse_formula(source, vocab, free=free)
-
-    def term(source: str) -> s.Term:
-        return parse_term(source, vocab)
-
-    ring_topology = Axiom(
-        "ring_topology",
-        fml(
-            "(forall X, Y, Z. btw(X, Y, Z) -> btw(Y, Z, X))"
-            " & (forall W, X, Y, Z. btw(W, X, Y) & btw(W, Y, Z) -> btw(W, X, Z))"
-            " & (forall W, X, Y. btw(W, X, Y) -> ~btw(W, Y, X))"
-            " & (forall W:node, X:node, Y:node."
-            "    W ~= X & X ~= Y & W ~= Y -> btw(W, X, Y) | btw(W, Y, X))"
-        ),
-    )
-    base_nonempty = Axiom("base_nonempty", fml("exists B:node. base(B)"))
-
-    # The base starts as a correct ring: actives = ring members = base,
-    # successor edges of base nodes are exact ring edges over the base, and
-    # predecessor pointers invert them.
-    init = seq(
-        Assume(fml("forall X:node. a(X) <-> base(X)")),
-        Assume(fml("forall X:node. in_ring(X) <-> base(X)")),
-        Assume(
-            fml(
-                "forall X, Y. s(X, Y) ->"
-                " base(X) & base(Y) & (forall Z. base(Z) -> ~btw(X, Z, Y))"
-            )
-        ),
-        Assume(fml("forall X, Y, Z. s(X, Y) & s(X, Z) -> Y = Z")),
-        Assume(fml("forall X, Z. s(X, X) & base(Z) -> Z = X")),
-        Assume(fml("forall X, Y. p(X, Y) -> s(Y, X)")),
-    )
-
-    safety_formula = fml(
-        "forall X, Y, Z. in_ring(X) & s(X, Y) & in_ring(Z) -> ~btw(X, Z, Y)"
-    )
-
-    a_rel = vocab.relation("a")
-    in_ring = vocab.relation("in_ring")
-    s_rel = vocab.relation("s")
-    p_rel = vocab.relation("p")
-
-    u_var, v_var = s.Var("U", NODE), s.Var("V", NODE)
-
-    def retarget(owner: str, old: str, new: str) -> UpdateRel:
-        """``s[owner] := new`` (single-valued pointer swing)."""
-        return UpdateRel(
-            s_rel,
-            (u_var, v_var),
-            fml(
-                f"(s(U, V) & ~(U = {owner} & V = {old})) | (U = {owner} & V = {new})",
-                free={"U": NODE, "V": NODE},
-            ),
-        )
-
-    # A node joins pointing at its correct successor: the lookup returns an
-    # active y with no active node between x and y (Chord's lookup
-    # correctness assumption, as in Zave's model).
-    join = seq(
-        Havoc(vocab.function("x")),
-        Havoc(vocab.function("y")),
-        Assume(fml("~a(x) & a(y) & x ~= y")),
-        Assume(fml("forall Z. a(Z) -> ~btw(x, Z, y)")),
-        UpdateRel(
-            s_rel,
-            (u_var, v_var),
-            fml(
-                "(s(U, V) & U ~= x) | (U = x & V = y)",
-                free={"U": NODE, "V": NODE},
-            ),
-        ),
-        insert(a_rel, term("x")),
-    )
-
-    # An appendage retargets to a strictly closer active node (stabilize).
-    stabilize = seq(
-        Havoc(vocab.function("x")),
-        Havoc(vocab.function("y")),
-        Havoc(vocab.function("z")),
-        Assume(fml("a(x) & ~in_ring(x) & s(x, y)")),
-        Assume(fml("a(z) & btw(x, z, y)")),
-        retarget("x", "y", "z"),
-    )
-
-    # A ring member w whose successor is y adopts the appendage x sitting
-    # between them: w -> x -> y, and x enters the ring (stabilize+rectify
-    # completing).  Predecessor pointers are corrected along the way.
-    integrate = seq(
-        Havoc(vocab.function("x")),
-        Havoc(vocab.function("y")),
-        Havoc(vocab.function("w")),
-        Assume(fml("a(x) & ~in_ring(x) & s(x, y) & in_ring(y)")),
-        Assume(fml("in_ring(w) & s(w, y) & btw(w, x, y)")),
-        retarget("w", "y", "x"),
-        insert(in_ring, term("x")),
-        remove(p_rel, term("y"), term("w")),
-        insert(p_rel, term("y"), term("x")),
-        insert(p_rel, term("x"), term("w")),
-    )
-
-    # A singleton ring (s(w, w)) adopts its first appendage directly; the
-    # btw-based integrate guard cannot fire with fewer than three distinct
-    # positions.
-    integrate_solo = seq(
-        Havoc(vocab.function("x")),
-        Havoc(vocab.function("w")),
-        Assume(fml("a(x) & ~in_ring(x) & s(x, w) & in_ring(w) & s(w, w) & x ~= w")),
-        retarget("w", "w", "x"),
-        insert(in_ring, term("x")),
-        insert(p_rel, term("x"), term("w")),
-        insert(p_rel, term("w"), term("x")),
-    )
-
-    body = seq(
-        assert_(safety_formula, label="ring order preserved"),
-        choice(
-            join,
-            stabilize,
-            integrate,
-            integrate_solo,
-            labels=("join", "stabilize", "integrate", "integrate_solo"),
-        ),
-    )
-
-    program = Program(
-        name="chord",
-        vocab=vocab,
-        axioms=(ring_topology, base_nonempty),
-        init=init,
-        body=body,
-    )
-
-    c0 = Conjecture(
-        "C0",
-        fml("forall X, Y, Z. ~(in_ring(X) & s(X, Y) & in_ring(Z) & btw(X, Z, Y))"),
-    )
-    pool = [
-        # successor pointers are single valued,
-        ("C1", "forall X, Y, Z. ~(s(X, Y) & s(X, Z) & Y ~= Z)"),
-        # point between active nodes,
-        ("C2", "forall X, Y. ~(s(X, Y) & ~a(X))"),
-        ("C3", "forall X, Y. ~(s(X, Y) & ~a(Y))"),
-        # ring membership implies activity and the base stays woven in,
-        ("C4", "forall X:node. ~(in_ring(X) & ~a(X))"),
-        ("C5", "forall X:node. ~(base(X) & ~in_ring(X))"),
-        # ring members' successors stay in the ring,
-        ("C6", "forall X, Y. ~(in_ring(X) & s(X, Y) & ~in_ring(Y))"),
-        # self-loops only at ring members (the singleton-ring case),
-        ("C7", "forall X:node. ~(s(X, X) & ~in_ring(X))"),
-        # a self-loop means the ring is a singleton,
-        ("C8", "forall X, Y. ~(s(X, X) & in_ring(Y) & X ~= Y)"),
-    ]
-    conjectures = tuple(Conjecture(name, fml(source)) for name, source in pool)
-
-    return ProtocolBundle(
-        program=program,
-        safety=(c0,),
-        invariant=(c0, *conjectures),
-        bmc_bound=3,
-        notes=(
-            "Reduced stable-base Chord: joins, appendage stabilization and "
-            "ring integration, no failures.  Safety is the order-theoretic "
-            "form of ring connectivity, matching the paper's observation "
-            "that a universal invariant replaces Zave's transitive-closure "
-            "argument."
-        ),
-    )
+    """The stable-base Chord model with its ring-order invariant."""
+    return load("chord")

@@ -1,228 +1,11 @@
 """Database chain-transaction consistency (paper Section 5.1).
 
-A sharded database: every key lives on one node, and a transaction is a
-chain of single-node subtransactions (*ops*) executed in node order.  Nodes
-process subtransactions serially in transaction-timestamp order; an op
-reads the latest executed write of its key; a transaction commits once all
-its ops executed, and may abort only before any op executed (chain
-protocols decide aborts at the first link, which is also why nobody can
-have observed an aborted transaction's writes).
-
-Safety, following the paper's assertions:
-
-* (a) a read observes the *last* writer: no third transaction's write to
-  the same key falls strictly between the observed writer and the reader
-  in timestamp order;
-* (b) uncommitted values are not read: observed writers are never aborted;
-* commit and abort are mutually exclusive (atomicity).
-
-Modeling note (see EXPERIMENTS.md): reads record the *op* that observed a
-writer (relation ``obs(op, tx)``) rather than a bare (tx, key, tx') triple.
-The op is the universally quantifiable witness that its transaction really
-executed on the key's node -- with bare triples the paper's assertions are
-not invariant under any purely universal strengthening (the witness-less
-substructure admits an abort).  The paper reports the same kind of
-EPR-driven over-approximation for this protocol.
+The model -- program, safety property and invariant -- is ``db_chain.rml``.
 """
 
-from __future__ import annotations
-
-from ..core.induction import Conjecture
-from ..logic import syntax as s
-from ..logic.parser import parse_formula, parse_term
-from ..logic.sorts import FuncDecl, RelDecl, Sort, vocabulary
-from ..rml.ast import Assume, Axiom, Havoc, Program, choice, seq
-from ..rml.sugar import assert_, insert
-from .base import ProtocolBundle
-
-TX = Sort("tx")
-KEY = Sort("key")
-NODE = Sort("node")
-OP = Sort("op")
+from .base import ProtocolBundle, load
 
 
 def build() -> ProtocolBundle:
-    """Build the chain-transaction model with its per-op observation invariant."""
-    vocab = vocabulary(
-        sorts=[TX, KEY, NODE, OP],
-        relations=[
-            RelDecl("tle", (TX, TX)),  # transaction timestamp order (rigid)
-            RelDecl("nle", (NODE, NODE)),  # chain order over nodes (rigid)
-            RelDecl("is_write", (OP,)),  # rigid op kind
-            RelDecl("executed", (OP,)),  # precommitted subtransactions
-            RelDecl("committed", (TX,)),
-            RelDecl("aborted", (TX,)),
-            RelDecl("obs", (OP, TX)),  # read op observed this writer
-        ],
-        functions=[
-            FuncDecl("op_tx", (OP,), TX),
-            FuncDecl("op_key", (OP,), KEY),
-            FuncDecl("kn", (KEY,), NODE),  # key placement
-            FuncDecl("o", (), OP),
-            FuncDecl("ow", (), OP),  # observed write op
-            FuncDecl("t", (), TX),
-        ],
-    )
-
-    def fml(source: str, free=None) -> s.Formula:
-        return parse_formula(source, vocab, free=free)
-
-    def term(source: str) -> s.Term:
-        return parse_term(source, vocab)
-
-    def total_order(rel: str, sort: str) -> str:
-        return (
-            f"(forall X:{sort}. {rel}(X, X))"
-            f" & (forall X, Y, Z:{sort}. {rel}(X, Y) & {rel}(Y, Z) -> {rel}(X, Z))"
-            f" & (forall X, Y:{sort}. {rel}(X, Y) & {rel}(Y, X) -> X = Y)"
-            f" & (forall X, Y:{sort}. {rel}(X, Y) | {rel}(Y, X))"
-        )
-
-    axioms = (
-        Axiom("tle_total_order", fml(total_order("tle", "tx"))),
-        Axiom("nle_total_order", fml(total_order("nle", "node"))),
-    )
-
-    init = seq(
-        Assume(fml("forall O:op. ~executed(O)")),
-        Assume(fml("forall T:tx. ~committed(T) & ~aborted(T)")),
-        Assume(fml("forall O:op, T:tx. ~obs(O, T)")),
-    )
-
-    # Scheduling guards shared by both execution actions.
-    chain_guard = fml(
-        "forall O. op_tx(O) = op_tx(o) & O ~= o"
-        " & nle(kn(op_key(O)), kn(op_key(o))) & kn(op_key(O)) ~= kn(op_key(o))"
-        " -> executed(O)"
-    )
-    serial_forward = fml(
-        "forall O. kn(op_key(O)) = kn(op_key(o))"
-        " & tle(op_tx(O), op_tx(o)) & op_tx(O) ~= op_tx(o) -> executed(O)"
-    )
-    serial_reverse = fml(
-        "forall O. kn(op_key(O)) = kn(op_key(o))"
-        " & tle(op_tx(o), op_tx(O)) & op_tx(O) ~= op_tx(o) -> ~executed(O)"
-    )
-
-    executed = vocab.relation("executed")
-    committed = vocab.relation("committed")
-    aborted = vocab.relation("aborted")
-    obs = vocab.relation("obs")
-
-    common_guards = seq(
-        Assume(fml("~executed(o)")),
-        Assume(fml("~aborted(op_tx(o))")),
-        Assume(fml("~committed(op_tx(o))")),
-        Assume(chain_guard),
-        Assume(serial_forward),
-        Assume(serial_reverse),
-    )
-
-    exec_write = seq(
-        Havoc(vocab.function("o")),
-        Assume(fml("is_write(o)")),
-        common_guards,
-        insert(executed, term("o")),
-    )
-
-    exec_read = seq(
-        Havoc(vocab.function("o")),
-        Havoc(vocab.function("ow")),
-        Assume(fml("~is_write(o)")),
-        common_guards,
-        # Observe the latest executed write of this key.
-        Assume(fml("is_write(ow) & executed(ow) & op_key(ow) = op_key(o)")),
-        Assume(
-            fml(
-                "forall O. is_write(O) & executed(O) & op_key(O) = op_key(o)"
-                " -> tle(op_tx(O), op_tx(ow))"
-            )
-        ),
-        insert(executed, term("o")),
-        insert(obs, term("o"), term("op_tx(ow)")),
-    )
-
-    commit = seq(
-        Havoc(vocab.function("t")),
-        Assume(fml("~aborted(t)")),
-        Assume(fml("forall O:op. op_tx(O) = t -> executed(O)")),
-        insert(committed, term("t")),
-    )
-
-    abort = seq(
-        Havoc(vocab.function("t")),
-        Assume(fml("~committed(t)")),
-        # Chain transactions decide aborts at the first subtransaction:
-        # nothing executed yet, hence nobody can have observed this tx.
-        Assume(fml("forall O:op. op_tx(O) = t -> ~executed(O)")),
-        Assume(fml("forall O:op. ~obs(O, t)")),
-        insert(aborted, term("t")),
-    )
-
-    # The paper's assertions (a), (b) plus atomicity.
-    dirty_read = fml("forall O:op, T:tx. obs(O, T) -> ~aborted(T)")
-    last_writer = fml(
-        "forall O, O2, T1."
-        " obs(O, T1) & executed(O2) & is_write(O2) & op_key(O2) = op_key(O)"
-        " & op_tx(O2) ~= T1 & op_tx(O2) ~= op_tx(O)"
-        " & tle(T1, op_tx(O2)) -> ~tle(op_tx(O2), op_tx(O))"
-    )
-    atomic = fml("forall T:tx. ~(committed(T) & aborted(T))")
-
-    body = seq(
-        assert_(dirty_read, label="no dirty reads"),
-        assert_(last_writer, label="reads see the last writer"),
-        assert_(atomic, label="commit/abort exclusive"),
-        choice(
-            exec_write,
-            exec_read,
-            commit,
-            abort,
-            labels=("exec_write", "exec_read", "commit", "abort"),
-        ),
-    )
-
-    program = Program(
-        name="db_chain",
-        vocab=vocab,
-        axioms=axioms,
-        init=init,
-        body=body,
-    )
-
-    c0 = Conjecture("C0", fml("forall O:op, T:tx. ~(obs(O, T) & aborted(T))"))
-    c1 = Conjecture(
-        "C1",
-        fml(
-            "forall O, O2, T1."
-            " ~(obs(O, T1) & executed(O2) & is_write(O2)"
-            "   & op_key(O2) = op_key(O) & op_tx(O2) ~= T1"
-            "   & op_tx(O2) ~= op_tx(O) & tle(T1, op_tx(O2))"
-            "   & tle(op_tx(O2), op_tx(O)))"
-        ),
-    )
-    c2 = Conjecture("C2", fml("forall T:tx. ~(committed(T) & aborted(T))"))
-    pool = [
-        # A recorded observation's reader really executed.
-        ("C3", "forall O:op, T:tx. ~(obs(O, T) & ~executed(O))"),
-        # Observations point at genuine executed writes... tied through the
-        # reader's node by the serial guards; recorded for the session.
-        ("C4", "forall O:op, T:tx. ~(obs(O, T) & is_write(O))"),
-        ("C5", "forall O:op, T:tx. ~(obs(O, T) & ~tle(T, op_tx(O)))"),
-        # Aborted transactions never executed anything (first-link aborts).
-        ("C6", "forall O:op. ~(aborted(op_tx(O)) & executed(O))"),
-    ]
-    conjectures = tuple(Conjecture(name, fml(source)) for name, source in pool)
-
-    return ProtocolBundle(
-        program=program,
-        safety=(c0, c1, c2),
-        invariant=(c0, c1, c2, *conjectures),
-        bmc_bound=3,
-        notes=(
-            "Chain transactions over a sharded store; nodes execute "
-            "subtransactions serially in timestamp order and aborts happen "
-            "only at the first link, which yields the paper's assertions "
-            "(a) and (b)."
-        ),
-    )
+    """The chain-transaction model with its per-op observation invariant."""
+    return load("db_chain", safety=("C0", "C1", "C2"))

@@ -1,165 +1,11 @@
 """The IronFleet distributed lock protocol (paper Section 5.1).
 
-An unbounded set of nodes passes a single lock around with monotonically
-increasing epochs; there is no central server.  A node that holds the lock
-grants it by sending a ``transfer`` message carrying a fresh higher epoch;
-a node receiving a transfer whose epoch beats its own accepts: it moves to
-that epoch, takes the lock, and announces with a ``locked`` message.
-Messages can be duplicated and reordered (both message kinds are modeled
-as persistent relations -- nothing is ever consumed).
-
-Safety (as in IronFleet): all ``locked`` messages for one epoch come from a
-single node.
-
-The model matches the paper's Figure 14 row: 2 sorts (node, epoch) and 5
-state symbols (``le``, ``transfer``, ``locked``, ``held``, ``ep``).  The
-inductive invariant centers on the *pending transfer* notion -- a transfer
-message its destination has not yet accepted (``~le(E, ep(N))``): at any
-time there is at most one pending transfer, it dominates every node epoch,
-and it excludes any current holder.
+The model -- program, safety property and invariant -- is ``distributed_lock.rml``.
 """
 
-from __future__ import annotations
-
-from ..core.induction import Conjecture
-from ..logic import syntax as s
-from ..logic.parser import parse_formula, parse_term
-from ..logic.sorts import FuncDecl, RelDecl, Sort, vocabulary
-from ..rml.ast import Assume, Axiom, Havoc, Program, choice, seq
-from ..rml.sugar import assert_, assign, insert, remove
-from .base import ProtocolBundle
-
-NODE = Sort("node")
-EPOCH = Sort("epoch")
+from .base import ProtocolBundle, load
 
 
 def build() -> ProtocolBundle:
-    """Build the IronFleet distributed lock model with its pending-transfer invariant."""
-    vocab = vocabulary(
-        sorts=[NODE, EPOCH],
-        relations=[
-            RelDecl("le", (EPOCH, EPOCH)),
-            RelDecl("transfer", (EPOCH, NODE)),
-            RelDecl("locked", (EPOCH, NODE)),
-            RelDecl("held", (NODE,)),
-        ],
-        functions=[
-            FuncDecl("ep", (NODE,), EPOCH),
-            FuncDecl("n", (), NODE),
-            FuncDecl("m", (), NODE),
-            FuncDecl("e", (), EPOCH),
-        ],
-    )
-
-    def fml(source: str) -> s.Formula:
-        return parse_formula(source, vocab)
-
-    def term(source: str) -> s.Term:
-        return parse_term(source, vocab)
-
-    le_total_order = Axiom(
-        "le_total_order",
-        fml(
-            "(forall X:epoch. le(X, X))"
-            " & (forall X, Y, Z:epoch. le(X, Y) & le(Y, Z) -> le(X, Z))"
-            " & (forall X, Y:epoch. le(X, Y) & le(Y, X) -> X = Y)"
-            " & (forall X, Y:epoch. le(X, Y) | le(Y, X))"
-        ),
-    )
-
-    # One initial holder whose epoch dominates everyone's; no messages yet.
-    init = seq(
-        Assume(
-            fml(
-                "exists F:node. forall X:node, N:node."
-                " (held(X) <-> X = F) & le(ep(N), ep(F))"
-            )
-        ),
-        Assume(fml("forall E:epoch, N:node. ~transfer(E, N)")),
-        Assume(fml("forall E:epoch, N:node. ~locked(E, N)")),
-    )
-
-    safety_formula = fml(
-        "forall E, N1, N2. locked(E, N1) & locked(E, N2) -> N1 = N2"
-    )
-
-    grant = seq(
-        Havoc(vocab.function("n")),
-        Havoc(vocab.function("m")),
-        Havoc(vocab.function("e")),
-        Assume(fml("held(n)")),
-        # The fresh epoch strictly beats the holder's (IronFleet's e + 1).
-        Assume(fml("~le(e, ep(n))")),
-        remove(vocab.relation("held"), term("n")),
-        insert(vocab.relation("transfer"), term("e"), term("m")),
-    )
-
-    accept = seq(
-        Havoc(vocab.function("n")),
-        Havoc(vocab.function("e")),
-        Assume(fml("transfer(e, n)")),
-        Assume(fml("~le(e, ep(n))")),
-        assign(vocab.function("ep"), (term("n"),), term("e")),
-        insert(vocab.relation("held"), term("n")),
-        insert(vocab.relation("locked"), term("e"), term("n")),
-    )
-
-    body = seq(
-        assert_(safety_formula, label="locked agreement"),
-        choice(grant, accept, labels=("grant", "accept")),
-    )
-
-    program = Program(
-        name="distributed_lock",
-        vocab=vocab,
-        axioms=(le_total_order,),
-        init=init,
-        body=body,
-    )
-
-    c0 = Conjecture(
-        "C0", fml("forall E, N1, N2. ~(locked(E, N1) & locked(E, N2) & N1 ~= N2)")
-    )
-    pool = [
-        # locked messages are echoes of transfers.
-        ("C1", "forall E, N. ~(locked(E, N) & ~transfer(E, N))"),
-        # an epoch is granted to at most one destination.
-        ("C2", "forall E, N1, N2. ~(transfer(E, N1) & transfer(E, N2) & N1 ~= N2)"),
-        # a holder dominates every transfer in flight.
-        ("C3", "forall E, N, M. ~(held(N) & transfer(E, M) & ~le(E, ep(N)))"),
-        # at most one holder.
-        ("C4", "forall N1, N2. ~(held(N1) & held(N2) & N1 ~= N2)"),
-        # at most one pending (unaccepted) transfer.
-        (
-            "C5",
-            "forall E1, N1, E2, N2."
-            " ~(transfer(E1, N1) & ~le(E1, ep(N1))"
-            "   & transfer(E2, N2) & ~le(E2, ep(N2)) & E1 ~= E2)",
-        ),
-        # a pending transfer dominates every node's epoch.
-        (
-            "C6",
-            "forall E, N, M."
-            " ~(transfer(E, N) & ~le(E, ep(N)) & ~le(ep(M), E))",
-        ),
-        # a holder's epoch dominates every node's epoch.
-        ("C7", "forall N, M. ~(held(N) & ~le(ep(M), ep(N)))"),
-        # no pending transfer coexists with a holder.
-        (
-            "C8",
-            "forall E, N, M. ~(transfer(E, N) & ~le(E, ep(N)) & held(M))",
-        ),
-    ]
-    conjectures = tuple(Conjecture(name, fml(source)) for name, source in pool)
-
-    return ProtocolBundle(
-        program=program,
-        safety=(c0,),
-        invariant=(c0, *conjectures),
-        bmc_bound=3,
-        notes=(
-            "IronFleet's toy distributed lock; epochs only grow, and the "
-            "single 'lock token' is either a unique holder with maximal "
-            "epoch or a unique pending transfer dominating all epochs."
-        ),
-    )
+    """The IronFleet distributed lock model with its pending-transfer invariant."""
+    return load("distributed_lock")

@@ -1,161 +1,11 @@
 """Leader election in a ring (paper Figures 1, 2 and 6; Chang-Roberts).
 
-An unbounded unidirectional ring of nodes with unique, totally ordered IDs.
-Every node may send its own ID to its successor; a node receiving an ID
-higher than its own forwards it; a node receiving its *own* ID declares
-itself leader.  Safety: at most one leader.
-
-The model matches Figure 1:
-
-* sorts ``node`` and ``id`` with the stratified function ``idn : node -> id``
-  (the paper calls it ``id``; renamed to keep formulas readable);
-* ``le`` a total order on IDs (axiom ``le_total_order``);
-* ``btw`` the ring's ternary betweenness relation (axiom ``ring_topology``),
-  with successor-ship derived: ``next(a, b) := forall X. X ~= a & X ~= b ->
-  btw(a, b, X)`` (Figure 2);
-* ``unique_ids`` makes ``idn`` injective -- omitting it reproduces the
-  Figure 4 bug (see :meth:`repro.rml.ast.Program.without_axiom`);
-* the body asserts the safety property, then chooses ``send`` or
-  ``receive``.
-
-The inductive invariant is Figure 6's ``C0 & C1 & C2 & C3``.
+The model -- program, safety property and invariant -- is ``leader_election.rml``.
 """
 
-from __future__ import annotations
-
-from ..core.induction import Conjecture
-from ..logic.parser import parse_formula
-from ..logic.sorts import FuncDecl, RelDecl, Sort, vocabulary
-from ..rml.ast import Assume, Axiom, Havoc, Program, choice, seq
-from ..rml.sugar import assert_, if_, insert
-from ..logic import syntax as s
-from .base import ProtocolBundle
-
-NODE = Sort("node")
-ID = Sort("id")
+from .base import ProtocolBundle, load
 
 
 def build() -> ProtocolBundle:
-    """Build the Figure 1 leader election model with its Figure 6 invariant."""
-    vocab = vocabulary(
-        sorts=[NODE, ID],
-        relations=[
-            RelDecl("le", (ID, ID)),
-            RelDecl("btw", (NODE, NODE, NODE)),
-            RelDecl("leader", (NODE,)),
-            RelDecl("pnd", (ID, NODE)),
-        ],
-        functions=[
-            FuncDecl("idn", (NODE,), ID),
-            FuncDecl("n", (), NODE),
-            FuncDecl("m", (), NODE),
-            FuncDecl("i", (), ID),
-        ],
-    )
-
-    def fml(source: str) -> s.Formula:
-        return parse_formula(source, vocab)
-
-    unique_ids = Axiom(
-        "unique_ids", fml("forall N1, N2. N1 ~= N2 -> idn(N1) ~= idn(N2)")
-    )
-    le_total_order = Axiom(
-        "le_total_order",
-        fml(
-            "(forall X:id. le(X, X))"
-            " & (forall X, Y, Z:id. le(X, Y) & le(Y, Z) -> le(X, Z))"
-            " & (forall X, Y:id. le(X, Y) & le(Y, X) -> X = Y)"
-            " & (forall X, Y:id. le(X, Y) | le(Y, X))"
-        ),
-    )
-    ring_topology = Axiom(
-        "ring_topology",
-        fml(
-            "(forall X, Y, Z. btw(X, Y, Z) -> btw(Y, Z, X))"
-            " & (forall W, X, Y, Z. btw(W, X, Y) & btw(W, Y, Z) -> btw(W, X, Z))"
-            " & (forall W, X, Y. btw(W, X, Y) -> ~btw(W, Y, X))"
-            " & (forall W:node, X:node, Y:node."
-            "    W ~= X & X ~= Y & W ~= Y -> btw(W, X, Y) | btw(W, Y, X))"
-        ),
-    )
-
-    # next(n, m): m is the immediate ring successor of n (Figure 2).
-    next_nm = fml("forall X. X ~= n & X ~= m -> btw(n, m, X)")
-
-    init = seq(
-        Assume(fml("forall X:node. ~leader(X)")),
-        Assume(fml("forall X:id, Y:node. ~pnd(X, Y)")),
-    )
-
-    safety_formula = fml("forall N1, N2. leader(N1) & leader(N2) -> N1 = N2")
-
-    send = seq(
-        Havoc(vocab.function("n")),
-        Havoc(vocab.function("m")),
-        Assume(next_nm),
-        # Send our own ID to the successor.
-        insert(vocab.relation("pnd"), fml_term(vocab, "idn(n)"), fml_term(vocab, "m")),
-    )
-
-    receive = seq(
-        Havoc(vocab.function("n")),
-        Havoc(vocab.function("m")),
-        Havoc(vocab.function("i")),
-        Assume(fml("pnd(i, n)")),
-        Assume(next_nm),
-        if_(
-            fml("i = idn(n)"),
-            # Our own ID came back around: declare leadership.
-            insert(vocab.relation("leader"), fml_term(vocab, "n")),
-            if_(
-                fml("le(idn(n), i)"),
-                # Forward IDs above our own.
-                insert(vocab.relation("pnd"), fml_term(vocab, "i"), fml_term(vocab, "m")),
-            ),
-        ),
-    )
-
-    body = seq(
-        assert_(safety_formula, label="single leader"),
-        choice(send, receive, labels=("send", "receive")),
-    )
-
-    program = Program(
-        name="leader_election",
-        vocab=vocab,
-        axioms=(unique_ids, le_total_order, ring_topology),
-        init=init,
-        body=body,
-    )
-
-    c0 = Conjecture("C0", fml("forall N1, N2. ~(leader(N1) & leader(N2) & N1 ~= N2)"))
-    c1 = Conjecture(
-        "C1", fml("forall N1, N2. ~(N1 ~= N2 & leader(N1) & le(idn(N1), idn(N2)))")
-    )
-    c2 = Conjecture(
-        "C2", fml("forall N1, N2. ~(N1 ~= N2 & pnd(idn(N1), N1) & le(idn(N1), idn(N2)))")
-    )
-    c3 = Conjecture(
-        "C3",
-        fml(
-            "forall N1, N2, N3."
-            " ~(btw(N1, N2, N3) & pnd(idn(N2), N1) & le(idn(N2), idn(N3)))"
-        ),
-    )
-
-    return ProtocolBundle(
-        program=program,
-        safety=(c0,),
-        invariant=(c0, c1, c2, c3),
-        bmc_bound=3,
-        notes=(
-            "Figure 1 model; the paper's interactive session finds C1-C3 in "
-            "three CTI/generalization iterations (G = 3 in Figure 14)."
-        ),
-    )
-
-
-def fml_term(vocab, source: str):
-    from ..logic.parser import parse_term
-
-    return parse_term(source, vocab)
+    """The Figure 1 leader election model with its Figure 6 invariant."""
+    return load("leader_election")

@@ -1,197 +1,11 @@
 """The learning switch (paper Section 5.1).
 
-Switches learn routes from the packets they see: on receiving a packet, a
-switch records that the packet's *source* address is reachable through the
-port it arrived on, then forwards toward the destination if it has an entry
-for it, and floods otherwise.  The safety property is that no switch's
-learning step ever closes a forwarding loop.
-
-Following the paper's modeling:
-
-* the network is a symmetric ``link`` relation over switches;
-* ``pending(p, x, y)`` -- packet ``p`` is in flight on the ``x``-``y`` link;
-* per-address forwarding edges ``route(a, x, y)`` with their reflexive
-  transitive closure ``rstar(a, x, y)`` maintained by the standard
-  one-edge-insertion update (the ``route*`` ghost of the paper);
-* ``learned(a, x)`` -- switch ``x`` has a table entry for address ``a``
-  (initially only ``learned(a, a)``: an address knows itself).
-
-The safety assertion checks that ``rstar`` stays antisymmetric -- i.e. the
-forwarding graph of every address remains loop-free.
-
-The invariant: ``rstar`` is a reflexive transitive order whose paths all
-lead to the owning address through learned switches, and every pending
-packet's current position can already route back to the packet's source.
+The model -- program, safety property and invariant -- is ``learning_switch.rml``.
 """
 
-from __future__ import annotations
-
-from ..core.induction import Conjecture
-from ..logic import syntax as s
-from ..logic.parser import parse_formula, parse_term
-from ..logic.sorts import FuncDecl, RelDecl, Sort, vocabulary
-from ..rml.ast import Assume, Axiom, Havoc, Program, Skip, UpdateRel, choice, seq
-from ..rml.sugar import assert_, if_, insert
-from .base import ProtocolBundle
-
-NODE = Sort("node")
-PACKET = Sort("packet")
+from .base import ProtocolBundle, load
 
 
 def build() -> ProtocolBundle:
-    """Build the learning switch model with its route*-order invariant."""
-    vocab = vocabulary(
-        sorts=[NODE, PACKET],
-        relations=[
-            RelDecl("link", (NODE, NODE)),
-            RelDecl("pending", (PACKET, NODE, NODE)),
-            RelDecl("route", (NODE, NODE, NODE)),  # route(addr, from, to)
-            RelDecl("rstar", (NODE, NODE, NODE)),  # reflexive TC per addr
-            RelDecl("learned", (NODE, NODE)),  # learned(addr, switch)
-        ],
-        functions=[
-            FuncDecl("psrc", (PACKET,), NODE),
-            FuncDecl("pdst", (PACKET,), NODE),
-            FuncDecl("p", (), PACKET),
-            FuncDecl("sw", (), NODE),  # switch processing the packet
-            FuncDecl("swp", (), NODE),  # switch the packet arrived from
-            FuncDecl("nxt", (), NODE),  # chosen next hop when forwarding
-        ],
-    )
-
-    def fml(source: str, free=None) -> s.Formula:
-        return parse_formula(source, vocab, free=free)
-
-    def term(source: str) -> s.Term:
-        return parse_term(source, vocab)
-
-    link_sym = Axiom(
-        "link_sym",
-        fml("(forall X, Y:node. link(X, Y) -> link(Y, X)) & (forall X:node. ~link(X, X))"),
-    )
-
-    init = seq(
-        Assume(fml("forall P:packet, X:node, Y:node. ~pending(P, X, Y)")),
-        Assume(fml("forall A, X, Y:node. ~route(A, X, Y)")),
-        Assume(fml("forall A, X, Y:node. rstar(A, X, Y) <-> X = Y")),
-        Assume(fml("forall A:node, X:node. learned(A, X) <-> A = X")),
-    )
-
-    safety_formula = fml(
-        "forall A, X, Y. rstar(A, X, Y) & rstar(A, Y, X) -> X = Y"
-    )
-
-    pending = vocab.relation("pending")
-    route = vocab.relation("route")
-    rstar = vocab.relation("rstar")
-    learned = vocab.relation("learned")
-
-    a_of_p = "psrc(p)"  # the address being learned is the packet's source
-
-    new_packet = seq(
-        Havoc(vocab.function("p")),
-        # The packet enters the network at its source's switch.
-        insert(pending, term("p"), term("psrc(p)"), term("psrc(p)")),
-    )
-
-    # Learning: add route edge sw -> swp for address psrc(p), update the
-    # closure with the standard single-edge insertion, and record learning.
-    vx = s.Var("VA", NODE)
-    vy = s.Var("VX", NODE)
-    vz = s.Var("VY", NODE)
-    learn_route = seq(
-        insert(route, term(a_of_p), term("sw"), term("swp")),
-        UpdateRel(
-            rstar,
-            (vx, vy, vz),
-            fml(
-                "rstar(VA, VX, VY)"
-                " | (VA = psrc(p) & rstar(VA, VX, sw) & rstar(VA, swp, VY))",
-                free={"VA": NODE, "VX": NODE, "VY": NODE},
-            ),
-        ),
-        insert(learned, term(a_of_p), term("sw")),
-    )
-
-    forward = if_(
-        fml("pdst(p) = sw"),
-        # Delivered: the packet reached its destination's switch.
-        Skip(),
-        if_(
-            fml("learned(pdst(p), sw)"),
-        # Forward along the (unique) table entry toward the destination.
-        seq(
-            Havoc(vocab.function("nxt")),
-            Assume(fml("route(pdst(p), sw, nxt)")),
-            insert(pending, term("p"), term("sw"), term("nxt")),
-        ),
-        # Flood on every link except the one the packet arrived on.
-        UpdateRel(
-            pending,
-            (s.Var("VP", PACKET), s.Var("VX", NODE), s.Var("VY", NODE)),
-            fml(
-                "pending(VP, VX, VY)"
-                " | (VP = p & VX = sw & link(sw, VY) & VY ~= swp)",
-                free={"VP": PACKET, "VX": NODE, "VY": NODE},
-            ),
-            ),
-        ),
-    )
-
-    receive = seq(
-        Havoc(vocab.function("p")),
-        Havoc(vocab.function("sw")),
-        Havoc(vocab.function("swp")),
-        Assume(fml("pending(p, swp, sw)")),
-        # Learning a new source route must not close a forwarding loop.
-        assert_(
-            fml("~(rstar(psrc(p), swp, sw) & sw ~= swp & ~learned(psrc(p), sw))"),
-            label="no forwarding loop",
-        ),
-        if_(
-            fml("~learned(psrc(p), sw)"),
-            learn_route,
-        ),
-        forward,
-    )
-
-    body = seq(
-        assert_(safety_formula, label="route* antisymmetric"),
-        choice(new_packet, receive, labels=("new_packet", "receive")),
-    )
-
-    program = Program(
-        name="learning_switch",
-        vocab=vocab,
-        axioms=(link_sym,),
-        init=init,
-        body=body,
-    )
-
-    c0 = Conjecture(
-        "C0", fml("forall A, X, Y. ~(rstar(A, X, Y) & rstar(A, Y, X) & X ~= Y)")
-    )
-    pool = [
-        ("C1", "forall A, X, Y, Z. ~(rstar(A, X, Y) & rstar(A, Y, Z) & ~rstar(A, X, Z))"),
-        ("C2", "forall A, X:node. rstar(A, X, X)"),
-        ("C3", "forall A, X, Y. ~(rstar(A, X, Y) & X ~= Y & ~rstar(A, Y, A))"),
-        ("C4", "forall A, X, Y. ~(rstar(A, X, Y) & X ~= Y & ~learned(A, X))"),
-        ("C5", "forall P:packet, X:node, Y:node."
-               " ~(pending(P, X, Y) & ~rstar(psrc(P), X, psrc(P)))"),
-        ("C6", "forall A, X:node. ~(learned(A, X) & ~rstar(A, X, A))"),
-        ("C7", "forall A, X, Y. ~(route(A, X, Y) & ~rstar(A, X, Y))"),
-        ("C8", "forall A:node. learned(A, A)"),
-    ]
-    conjectures = tuple(Conjecture(name, fml(source)) for name, source in pool)
-
-    return ProtocolBundle(
-        program=program,
-        safety=(c0,),
-        invariant=(c0, *conjectures),
-        bmc_bound=3,
-        notes=(
-            "Learning switch with per-address forwarding graphs and a "
-            "transitive-closure ghost maintained by the standard "
-            "edge-insertion update; safety is loop freedom of route*."
-        ),
-    )
+    """The learning switch model with its route*-order invariant."""
+    return load("learning_switch")

@@ -1,168 +1,11 @@
 """The Verdi lock server (paper Section 5.1).
 
-An unbounded set of clients and a single server.  Clients send lock
-requests; the server grants the lock when it is free; a client that holds
-the lock may send an unlock message, returning the lock to the server.
-Messages can be reordered (each kind is modeled as a set of in-flight
-messages per client) but not duplicated.  Safety: no two clients
-simultaneously think they hold the lock.
-
-Modeling note (recorded in EXPERIMENTS.md): RML conjectures are universal,
-so the server's wait-list cannot appear in the invariant through its
-"head" (a minimality property needs a quantifier alternation).  We model
-the safety-relevant token state explicitly -- a nullary ``server_free``
-relation the protocol maintains -- which is the same formulation this
-protocol has in later EPR-verification work descended from the paper.  The
-wait-list only affects fairness, not safety.
-
-The inductive invariant is the classic 9-conjecture mutual-exclusion
-lattice over {grant in flight, held, unlock in flight, server free}; its
-literal count (21) matches the paper's Figure 14 row.
+The model -- program, safety property and invariant -- is ``lock_server.rml``.
 """
 
-from __future__ import annotations
-
-from ..core.induction import Conjecture
-from ..logic import syntax as s
-from ..logic.parser import parse_formula
-from ..logic.sorts import FuncDecl, RelDecl, Sort, vocabulary
-from ..rml.ast import Assume, Axiom, Havoc, Program, choice, seq
-from ..rml.sugar import assert_, insert, remove
-from .base import ProtocolBundle
-
-CLIENT = Sort("client")
+from .base import ProtocolBundle, load
 
 
 def build() -> ProtocolBundle:
-    """Build the Verdi lock server model with its exclusion-lattice invariant."""
-    vocab = vocabulary(
-        sorts=[CLIENT],
-        relations=[
-            RelDecl("lock_msg", (CLIENT,)),  # request in flight
-            RelDecl("grant_msg", (CLIENT,)),  # grant in flight
-            RelDecl("unlock_msg", (CLIENT,)),  # unlock in flight
-            RelDecl("holds", (CLIENT,)),  # client thinks it holds the lock
-            RelDecl("server_free", ()),  # the server has the lock
-        ],
-        functions=[FuncDecl("c", (), CLIENT)],
-    )
-
-    def fml(source: str) -> s.Formula:
-        return parse_formula(source, vocab)
-
-    def term(source: str):
-        from ..logic.parser import parse_term
-
-        return parse_term(source, vocab)
-
-    c = vocab.function("c")
-    lock_msg = vocab.relation("lock_msg")
-    grant_msg = vocab.relation("grant_msg")
-    unlock_msg = vocab.relation("unlock_msg")
-    holds = vocab.relation("holds")
-    server_free = vocab.relation("server_free")
-
-    init = seq(
-        Assume(fml("forall X:client. ~lock_msg(X)")),
-        Assume(fml("forall X:client. ~grant_msg(X)")),
-        Assume(fml("forall X:client. ~unlock_msg(X)")),
-        Assume(fml("forall X:client. ~holds(X)")),
-        Assume(fml("server_free")),
-    )
-
-    safety_formula = fml("forall C1, C2. holds(C1) & holds(C2) -> C1 = C2")
-
-    send_request = seq(
-        Havoc(c),
-        insert(lock_msg, term("c")),
-    )
-    recv_request = seq(
-        Havoc(c),
-        Assume(fml("lock_msg(c)")),
-        Assume(fml("server_free")),
-        remove(lock_msg, term("c")),
-        _clear_server_free(server_free),
-        insert(grant_msg, term("c")),
-    )
-    recv_grant = seq(
-        Havoc(c),
-        Assume(fml("grant_msg(c)")),
-        remove(grant_msg, term("c")),
-        insert(holds, term("c")),
-    )
-    send_unlock = seq(
-        Havoc(c),
-        Assume(fml("holds(c)")),
-        remove(holds, term("c")),
-        insert(unlock_msg, term("c")),
-    )
-    recv_unlock = seq(
-        Havoc(c),
-        Assume(fml("unlock_msg(c)")),
-        remove(unlock_msg, term("c")),
-        _set_server_free(server_free),
-    )
-
-    body = seq(
-        assert_(safety_formula, label="mutual exclusion"),
-        choice(
-            send_request,
-            recv_request,
-            recv_grant,
-            send_unlock,
-            recv_unlock,
-            labels=(
-                "send_request",
-                "recv_request",
-                "recv_grant",
-                "send_unlock",
-                "recv_unlock",
-            ),
-        ),
-    )
-
-    program = Program(
-        name="lock_server",
-        vocab=vocab,
-        axioms=(),
-        init=init,
-        body=body,
-    )
-
-    c0 = Conjecture("C0", fml("forall C1, C2. ~(holds(C1) & holds(C2) & C1 ~= C2)"))
-    pool = [
-        ("C1", "forall C1, C2. ~(grant_msg(C1) & grant_msg(C2) & C1 ~= C2)"),
-        ("C2", "forall C1, C2. ~(unlock_msg(C1) & unlock_msg(C2) & C1 ~= C2)"),
-        ("C3", "forall C1, C2. ~(grant_msg(C1) & holds(C2))"),
-        ("C4", "forall C1, C2. ~(grant_msg(C1) & unlock_msg(C2))"),
-        ("C5", "forall C1, C2. ~(holds(C1) & unlock_msg(C2))"),
-        ("C6", "forall C1. ~(grant_msg(C1) & server_free)"),
-        ("C7", "forall C1. ~(holds(C1) & server_free)"),
-        ("C8", "forall C1. ~(unlock_msg(C1) & server_free)"),
-    ]
-    conjectures = tuple(Conjecture(name, fml(source)) for name, source in pool)
-
-    return ProtocolBundle(
-        program=program,
-        safety=(c0,),
-        invariant=(c0, *conjectures),
-        bmc_bound=4,
-        notes=(
-            "Verdi lock server; the single lock token moves "
-            "server -> grant_msg -> holds -> unlock_msg -> server.  The "
-            "invariant is the pairwise-exclusion lattice over the token's "
-            "four locations (21 literals, matching Figure 14's I column)."
-        ),
-    )
-
-
-def _clear_server_free(server_free: RelDecl):
-    from ..rml.ast import UpdateRel
-
-    return UpdateRel(server_free, (), s.FALSE)
-
-
-def _set_server_free(server_free: RelDecl):
-    from ..rml.ast import UpdateRel
-
-    return UpdateRel(server_free, (), s.TRUE)
+    """The Verdi lock server model with its exclusion-lattice invariant."""
+    return load("lock_server", bmc_bound=4)

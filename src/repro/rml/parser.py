@@ -33,7 +33,7 @@ matching Figure 1's structure (the safety assertion at the loop head, then
 the nondeterministic choice of operations).  Statements::
 
     skip;  abort;
-    assume <formula-EA>;                assert <formula-AE>;
+    assume <formula-EA>;                assert [<label>:] <formula-AE>;
     havoc <variable>;    <variable> := *;    <variable> := <term>;
     insert r(t1, ..);    remove r(t1, ..);
     update r(X, Y) := <QF formula over X, Y>;
@@ -318,7 +318,11 @@ class _ProgramParser:
             return Assume(self._formula())
         if word == "assert":
             stream.advance()
-            return assert_(self._formula())
+            label = None
+            if stream.at_ident() and stream.peek().text == ":":
+                label = stream.advance().text
+                stream.advance()
+            return assert_(self._formula(), label=label)
         if word == "havoc":
             stream.advance()
             name = stream.expect_ident("variable name")

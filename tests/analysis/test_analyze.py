@@ -55,10 +55,10 @@ class TestAnalyzeFormats:
         assert "RML111" in rules
 
     def test_file_target(self, tmp_path, capsys):
-        from repro.protocols import rml_sources
+        from repro.protocols.base import model_file
 
         path = tmp_path / "lock_server.rml"
-        path.write_text(rml_sources.LOCK_SERVER)
+        path.write_text(model_file("lock_server").read_text())
         assert main(["analyze", str(path)]) == 0
         out = capsys.readouterr().out
         assert f"== {path} ==" in out

@@ -220,12 +220,12 @@ def test_status_reports_stale_after_transition_edit(tmp_path, bundle):
     from repro.proof.manager import prove
 
     ledger = Ledger(str(tmp_path))
-    plan = plan_of(bundle.program, bundle.invariant)
+    plan = plan_of(bundle.program)
     report = prove(plan, ledger=ledger)
     assert report.ok
     assert all(row.state == "proven" for row in status(plan, ledger))
 
     edited = dataclasses.replace(bundle.program, body=bundle.program.init)
-    edited_plan = plan_of(edited, bundle.invariant)
+    edited_plan = plan_of(edited)
     rows = status(edited_plan, Ledger(str(tmp_path)))
     assert rows and all(row.state == "stale" for row in rows)

@@ -104,7 +104,7 @@ def test_proof_requires_proves_keyword():
 
 
 def test_bundle_plan_is_single_main_node(bundle):
-    plan = plan_of(bundle.program, bundle.invariant)
+    plan = plan_of(bundle.program)
     assert [node.name for node in plan.nodes] == [MAIN_PROOF]
     assert plan.frontiers() == [(MAIN_PROOF,)]
     assert set(plan.invariants) == {c.name for c in bundle.invariant}
@@ -122,7 +122,7 @@ def test_declared_proofs_shape_the_plan():
 
 def test_prove_twice_issues_zero_queries_second_time(tmp_path, bundle):
     ledger = Ledger(str(tmp_path))
-    plan = plan_of(bundle.program, bundle.invariant)
+    plan = plan_of(bundle.program)
 
     cold = prove(plan, ledger=ledger)
     assert cold.ok and cold.queries > 0 and cold.ledger_hits == 0
@@ -154,7 +154,7 @@ def test_diamond_obligations_discharged_exactly_once(tmp_path):
 
 
 def test_prove_without_ledger_solves_every_time(bundle):
-    plan = plan_of(bundle.program, bundle.invariant)
+    plan = plan_of(bundle.program)
     first = prove(plan)
     second = prove(plan)
     assert first.ok and second.ok

@@ -204,7 +204,7 @@ class TestUpdrResume:
 
 class TestProveResume:
     def test_dag_resumes_via_journal(self, lock_bundle, journal_path):
-        plan = plan_of(lock_bundle.program, lock_bundle.invariant)
+        plan = plan_of(lock_bundle.program)
         live = Journal.fresh(journal_path)
         first = prove(plan, journal=live)
         live.close()

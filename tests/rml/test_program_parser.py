@@ -99,6 +99,34 @@ class TestParsing:
     def test_program_name(self, text_program):
         assert text_program.name == "leader_election_text"
 
+    def test_point_update_parsed_as_sugar(self):
+        """``ep(n) := e`` in distributed_lock expands to the Figure 12 ite update."""
+        from repro.logic import Ite
+        from repro.protocols.base import model_file
+        from repro.rml.ast import UpdateFunc, subcommands
+
+        program = parse_program(model_file("distributed_lock").read_text())
+        updates = [
+            c
+            for c in subcommands(program.body)
+            if isinstance(c, UpdateFunc) and c.func.name == "ep"
+        ]
+        assert updates
+        assert isinstance(updates[0].term, Ite)
+
+    def test_assert_label(self):
+        from repro.rml.ast import Choice, subcommands
+
+        program = parse_program(
+            "sort node\nrelation r : node\nvariable n : node\n"
+            "action step { havoc n; assert r_empty: forall X. ~r(X);"
+            " assert forall X. ~r(X); }\n"
+        )
+        labels = [
+            c.labels for c in subcommands(program.body) if isinstance(c, Choice)
+        ]
+        assert labels == [("violate r_empty", "pass"), ("violate", "pass")]
+
 
 class TestSemanticEquivalence:
     """The text model verifies exactly like the programmatic Figure 1 model."""

@@ -56,10 +56,10 @@ class TestCli:
         assert "> repro.session" in capsys.readouterr().err
 
     def test_verify_rml_file(self, tmp_path, capsys):
-        from repro.protocols import rml_sources
+        from repro.protocols.base import model_file
 
         path = tmp_path / "lock_server.rml"
-        path.write_text(rml_sources.LOCK_SERVER)
+        path.write_text(model_file("lock_server").read_text())
         code = main(
             [
                 "verify",
@@ -91,10 +91,10 @@ class TestCli:
         assert "inductive: True" in out
 
     def test_verify_reports_cti(self, tmp_path, capsys):
-        from repro.protocols import rml_sources
+        from repro.protocols.base import model_file
 
         path = tmp_path / "lock_server.rml"
-        path.write_text(rml_sources.LOCK_SERVER)
+        path.write_text(model_file("lock_server").read_text())
         code = main(
             [
                 "verify",
@@ -167,9 +167,11 @@ axiom bad: forall X:node. exists Y:node. pending(X, Y)
     def test_lint_all_protocols_clean(self, capsys):
         assert main(["lint"]) == 0
         out = capsys.readouterr().out
-        # lock_server's RML111 symmetry near-miss is the only (advisory)
-        # warning across the six bundled protocols; no errors anywhere.
-        assert "6 target(s): 0 error(s), 1 warning(s)" in out
+        # Three advisory warnings across the six bundled protocols and no
+        # errors: lock_server's RML111 symmetry near-miss, and RML108 on
+        # the relations no declared invariant reads (lock_server's
+        # lock_msg, chord's p).
+        assert "6 target(s): 0 error(s), 3 warning(s)" in out
         assert "RML111" in out
 
     def test_lint_file_reports_errors(self, tmp_path, capsys):
@@ -205,8 +207,9 @@ axiom bad: forall X:node. exists Y:node. pending(X, Y)
         log = json_mod.loads(out_file.read_text())
         assert log["version"] == "2.1.0"
         results = log["runs"][0]["results"]
-        # Only the advisory RML111 near-miss; never an error.
-        assert [r["ruleId"] for r in results] == ["RML111"]
+        # Only the advisory RML108 (lock_msg, read by no invariant) and
+        # RML111 near-miss warnings; never an error.
+        assert [r["ruleId"] for r in results] == ["RML108", "RML111"]
         assert all(r["level"] == "warning" for r in results)
 
     def test_lint_parse_error_becomes_rml000(self, tmp_path, capsys):
@@ -233,10 +236,10 @@ axiom bad: forall X:node. exists Y:node. pending(X, Y)
         assert "3 target(s)" in out
 
     def test_lint_example_file_clean(self, tmp_path, capsys):
-        from repro.protocols import rml_sources
+        from repro.protocols.base import model_file
 
         path = tmp_path / "lock_server.rml"
-        path.write_text(rml_sources.LOCK_SERVER)
+        path.write_text(model_file("lock_server").read_text())
         assert main(["lint", str(path)]) == 0
         out = capsys.readouterr().out
         assert "0 error(s)" in out
