@@ -37,6 +37,10 @@ def _span_field() -> Span | None:
     return field(default=None, compare=False, repr=False)
 
 
+#: Per node class, the names of the fields that take part in equality.
+_COMPARED_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
 class _Node:
     """Base class giving all AST nodes a cached structural hash."""
 
@@ -46,10 +50,13 @@ class _Node:
         try:
             return self.__hash_cache
         except AttributeError:
-            value = hash(
-                tuple(getattr(self, f.name) for f in fields(self) if f.compare)
-            )
-            value ^= hash(type(self).__name__)
+            cls = type(self)
+            names = _COMPARED_FIELDS.get(cls)
+            if names is None:
+                names = tuple(f.name for f in fields(self) if f.compare)
+                _COMPARED_FIELDS[cls] = names
+            value = hash(tuple(getattr(self, name) for name in names))
+            value ^= hash(cls.__name__)
             object.__setattr__(self, "_Node__hash_cache", value)
             return value
 

@@ -38,6 +38,7 @@ class CnfBuilder:
         self.solver = solver
         self._atom_vars: dict[s.Formula, int] = {}
         self._cache: dict[s.Formula, int] = {}
+        self._eq_lits: dict[tuple[s.Term, s.Term], int] = {}
         self._true_lit: int | None = None
 
     # ---------------------------------------------------------------- atoms
@@ -64,11 +65,19 @@ class CnfBuilder:
 
     def eq_lit(self, lhs: s.Term, rhs: s.Term) -> int:
         """The literal of the canonicalized equality ``lhs = rhs``."""
-        if lhs == rhs:
-            return self.true_lit()
-        if term_key(rhs) < term_key(lhs):
-            lhs, rhs = rhs, lhs
-        return self.atom_var(s.Eq(lhs, rhs))
+        # Memoized per argument pair: the equality theory asks for the same
+        # equalities every refinement round.
+        pair = (lhs, rhs)
+        lit = self._eq_lits.get(pair)
+        if lit is None:
+            if lhs == rhs:
+                lit = self.true_lit()
+            else:
+                if term_key(rhs) < term_key(lhs):
+                    lhs, rhs = rhs, lhs
+                lit = self.atom_var(s.Eq(lhs, rhs))
+            self._eq_lits[pair] = lit
+        return lit
 
     def rel_lit(self, rel: s.Rel) -> int:
         return self.atom_var(rel)

@@ -38,9 +38,11 @@ vocabulary.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
@@ -63,6 +65,26 @@ from .grounding import (
     _miniscope,
 )
 from .sat import Solver
+
+
+@contextmanager
+def _gc_paused():
+    """Suspend the cyclic garbage collector for one grounding or solve.
+
+    Grounding and CDCL search allocate millions of short-lived, acyclic
+    objects (terms, clauses, literal lists) that reference counting frees;
+    the collector's generation sweeps over the large live heap found
+    nothing to reclaim yet cost a fifth of solver time.  Nested uses are
+    no-ops, and a collector the caller disabled stays disabled.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 @dataclass(frozen=True)
@@ -197,7 +219,7 @@ class EprSolver:
         :meth:`check` for the catching, UNKNOWN-returning wrapper).
         """
         with obs.span("epr.prepare", constraints=len(self._constraints)) as sp:
-            with profile.collect() as prof:
+            with profile.collect() as prof, _gc_paused():
                 prepared = self._prepare()
             sp.set(instances=prepared.instance_count)
             if prof is not None and prof.wall:
@@ -573,7 +595,7 @@ class PreparedEpr:
         self, enabled: Iterable[str] | None = None, max_rounds: int = 10_000
     ) -> EprResult:
         with obs.span("epr.solve") as sp:
-            with profile.collect() as prof:
+            with profile.collect() as prof, _gc_paused():
                 outcome = self._solve(enabled, max_rounds)
             statistics = outcome.statistics
             if prof is not None and prof.wall:

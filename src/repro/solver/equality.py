@@ -52,13 +52,30 @@ class EqualityTheory:
         self.builder = builder
         self.vocab = vocab
         self.universe = {sort: list(terms) for sort, terms in universe.items()}
+        # The builder's atoms split by kind, in creation order.  Atoms are
+        # only ever added, so each refinement round indexes just the new
+        # ones instead of rescanning every relation atom.
+        self._eq_atoms: list[tuple[s.Eq, int]] = []
+        self._rel_atoms: dict[object, list[tuple[s.Rel, int]]] = {}
+        self._indexed = 0
+
+    def _index_atoms(self) -> None:
+        atoms = self.builder.atoms
+        if len(atoms) == self._indexed:
+            return
+        for atom, var in itertools.islice(atoms.items(), self._indexed, None):
+            if isinstance(atom, s.Eq):
+                self._eq_atoms.append((atom, var))
+            elif isinstance(atom, s.Rel):
+                self._rel_atoms.setdefault(atom.rel, []).append((atom, var))
+        self._indexed = len(atoms)
 
     # ------------------------------------------------------------- quotient
 
     def _true_edges(self, model: dict[int, bool]) -> dict[s.Term, list[s.Term]]:
         adjacency: dict[s.Term, list[s.Term]] = {}
-        for atom, var in self.builder.atoms.items():
-            if isinstance(atom, s.Eq) and model.get(var, False):
+        for atom, var in self._eq_atoms:
+            if model.get(var, False):
                 adjacency.setdefault(atom.lhs, []).append(atom.rhs)
                 adjacency.setdefault(atom.rhs, []).append(atom.lhs)
         return adjacency
@@ -70,6 +87,7 @@ class EqualityTheory:
         representatives are the lexicographically least member (by
         :func:`term_key`), making extraction deterministic.
         """
+        self._index_atoms()
         adjacency = self._true_edges(model)
         reps: dict[s.Term, s.Term] = {}
         seen: set[s.Term] = set()
@@ -122,6 +140,7 @@ class EqualityTheory:
         self, model: dict[int, bool], reps: dict[s.Term, s.Term]
     ) -> list[list[int]]:
         """Refutation clauses for equality semantics violated by the model."""
+        self._index_atoms()
         clauses: list[list[int]] = []
         clauses.extend(self._transitivity_violations(model, reps))
         clauses.extend(self._function_violations(model, reps))
@@ -140,11 +159,14 @@ class EqualityTheory:
         """
         clauses: list[list[int]] = []
         adjacency = None
-        for atom, var in list(self.builder.atoms.items()):
-            if not isinstance(atom, s.Eq) or model.get(var, False):
+        # Atoms minted below by eq_lit are indexed next round, not visited
+        # now (and are unassigned in ``model`` anyway).
+        for atom, var in self._eq_atoms:
+            if model.get(var, False):
                 continue
             lhs, rhs = atom.lhs, atom.rhs
-            if reps.get(lhs) != reps.get(rhs) or lhs == rhs:
+            lhs_rep, rhs_rep = reps.get(lhs), reps.get(rhs)
+            if (lhs_rep is not rhs_rep and lhs_rep != rhs_rep) or lhs == rhs:
                 continue
             if adjacency is None:
                 adjacency = self._true_edges(model)
@@ -182,14 +204,11 @@ class EqualityTheory:
         self, model: dict[int, bool], reps: dict[s.Term, s.Term]
     ) -> list[list[int]]:
         clauses: list[list[int]] = []
-        by_relation: dict[object, list[tuple[s.Rel, int]]] = {}
-        for atom, var in self.builder.atoms.items():
-            if isinstance(atom, s.Rel):
-                by_relation.setdefault(atom.rel, []).append((atom, var))
-        for atoms in by_relation.values():
+        rep_of = reps.__getitem__
+        for atoms in self._rel_atoms.values():
             groups: dict[tuple[s.Term, ...], list[tuple[s.Rel, int]]] = {}
             for atom, var in atoms:
-                signature = tuple(reps[arg] for arg in atom.args)
+                signature = tuple(map(rep_of, atom.args))
                 groups.setdefault(signature, []).append((atom, var))
             for members in groups.values():
                 anchor_atom, anchor_var = members[0]

@@ -46,7 +46,9 @@ class _VarHeap:
     """Max-heap over variables keyed by activity (MiniSat's order heap).
 
     Supports lazy membership: variables are re-inserted on backtracking and
-    assigned variables popped off are simply skipped by the caller.
+    assigned variables popped off are simply skipped.  The solver's
+    ``_backtrack`` and ``_decide`` inline insertion and popping on
+    ``_heap``/``_position``; ``_position[var]`` is -1 off the heap.
     """
 
     def __init__(self, activity: list[float]) -> None:
@@ -57,27 +59,12 @@ class _VarHeap:
     def register_var(self) -> None:
         self._position.append(-1)
 
-    def __contains__(self, var: int) -> bool:
-        return self._position[var] >= 0
-
     def push(self, var: int) -> None:
         if self._position[var] >= 0:
             return
         self._heap.append(var)
         self._position[var] = len(self._heap) - 1
         self._sift_up(len(self._heap) - 1)
-
-    def pop(self) -> int | None:
-        if not self._heap:
-            return None
-        top = self._heap[0]
-        last = self._heap.pop()
-        self._position[top] = -1
-        if self._heap:
-            self._heap[0] = last
-            self._position[last] = 0
-            self._sift_down(0)
-        return top
 
     def update(self, var: int) -> None:
         """Re-establish heap order after ``var``'s activity increased."""
@@ -96,26 +83,6 @@ class _VarHeap:
             heap[index] = parent_var
             pos[parent_var] = index
             index = parent
-        heap[index] = var
-        pos[var] = index
-
-    def _sift_down(self, index: int) -> None:
-        heap, pos, act = self._heap, self._position, self._activity
-        size = len(heap)
-        var = heap[index]
-        key = act[var]
-        while True:
-            child = 2 * index + 1
-            if child >= size:
-                break
-            if child + 1 < size and act[heap[child + 1]] > act[heap[child]]:
-                child += 1
-            child_var = heap[child]
-            if key >= act[child_var]:
-                break
-            heap[index] = child_var
-            pos[child_var] = index
-            index = child
         heap[index] = var
         pos[var] = index
 
@@ -185,18 +152,20 @@ class Solver:
         if self._unsat:
             return
         self._backtrack(0)
+        values = self._values
+        num_vars = self._num_vars
         unique: list[int] = []
         seen: set[int] = set()
         for lit in lits:
-            var = abs(lit)
-            if not 1 <= var <= self._num_vars:
+            var = lit if lit > 0 else -lit
+            if not 1 <= var <= num_vars:
                 raise ValueError(f"unknown variable in literal {lit}")
             if -lit in seen:
                 return  # tautology
             if lit in seen:
                 continue
             seen.add(lit)
-            value = self._value(lit)
+            value = values[var] if lit > 0 else -values[var]
             if value == _TRUE:
                 return  # already satisfied at level 0
             if value == _FALSE:
@@ -367,41 +336,72 @@ class Solver:
         return True
 
     def _propagate(self) -> _Clause | None:
-        while self._propagate_head < len(self._trail):
-            lit = self._trail[self._propagate_head]
-            self._propagate_head += 1
-            self.statistics["propagations"] += 1
-            watchers = self._watches.get(lit)
+        # The hot loop of the solver: literal values and enqueueing are
+        # inlined (same order of operations as ``_value``/``_enqueue``).
+        trail = self._trail
+        head = self._propagate_head
+        if head >= len(trail):
+            return None
+        values = self._values
+        watches = self._watches
+        levels = self._levels
+        reasons = self._reasons
+        polarity = self._polarity
+        level = len(self._trail_lim)
+        propagated = 0
+        conflict: _Clause | None = None
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
+            propagated += 1
+            watchers = watches.get(lit)
             if not watchers:
                 continue
+            false_lit = -lit
             still_watching: list[_Clause] = []
-            conflict: _Clause | None = None
+            keep = still_watching.append
             index = 0
-            while index < len(watchers):
+            count = len(watchers)
+            while index < count:
                 clause = watchers[index]
                 index += 1
                 lits = clause.lits
-                if lits[0] == -lit:
+                if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self._value(first) == _TRUE:
-                    still_watching.append(clause)
+                value = values[first] if first > 0 else -values[-first]
+                if value == _TRUE:
+                    keep(clause)
                     continue
                 for slot in range(2, len(lits)):
-                    if self._value(lits[slot]) != _FALSE:
-                        lits[1], lits[slot] = lits[slot], lits[1]
-                        self._watches.setdefault(-lits[1], []).append(clause)
+                    other = lits[slot]
+                    if (values[other] if other > 0 else -values[-other]) != _FALSE:
+                        lits[1], lits[slot] = other, lits[1]
+                        watch = watches.get(-other)
+                        if watch is None:
+                            watches[-other] = [clause]
+                        else:
+                            watch.append(clause)
                         break
                 else:
-                    still_watching.append(clause)
-                    if not self._enqueue(first, clause):
+                    keep(clause)
+                    if value == _FALSE:
                         conflict = clause
                         still_watching.extend(watchers[index:])
                         break
-            self._watches[lit] = still_watching
+                    var = first if first > 0 else -first
+                    values[var] = _TRUE if first > 0 else _FALSE
+                    levels[var] = level
+                    reasons[var] = clause
+                    polarity[var] = first > 0
+                    trail.append(first)
+            watches[lit] = still_watching
             if conflict is not None:
-                self._propagate_head = len(self._trail)
+                self.statistics["propagations"] += propagated
+                self._propagate_head = len(trail)
                 return conflict
+        self.statistics["propagations"] += propagated
+        self._propagate_head = head
         return None
 
     def _analyze(self, conflict: _Clause) -> tuple[list[int], int]:
@@ -501,26 +501,75 @@ class Solver:
         return core
 
     def _backtrack(self, level: int) -> None:
-        if self._decision_level() <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        boundary = self._trail_lim[level]
-        for lit in reversed(self._trail[boundary:]):
-            var = abs(lit)
-            self._values[var] = _UNASSIGNED
-            self._reasons[var] = None
-            self._order.push(var)
-        del self._trail[boundary:]
-        del self._trail_lim[level:]
-        self._propagate_head = min(self._propagate_head, len(self._trail))
+        boundary = trail_lim[level]
+        trail = self._trail
+        values = self._values
+        reasons = self._reasons
+        # Unassigned variables go back on the order heap (``_VarHeap.push``
+        # inlined: this runs for every literal ever undone).
+        heap = self._order._heap
+        position = self._order._position
+        activity = self._activity
+        for trail_index in range(len(trail) - 1, boundary - 1, -1):
+            lit = trail[trail_index]
+            var = lit if lit > 0 else -lit
+            values[var] = _UNASSIGNED
+            reasons[var] = None
+            if position[var] >= 0:
+                continue
+            index = len(heap)
+            heap.append(var)
+            key = activity[var]
+            while index > 0:
+                parent = (index - 1) >> 1
+                parent_var = heap[parent]
+                if activity[parent_var] >= key:
+                    break
+                heap[index] = parent_var
+                position[parent_var] = index
+                index = parent
+            heap[index] = var
+            position[var] = index
+        del trail[boundary:]
+        del trail_lim[level:]
+        if self._propagate_head > len(trail):
+            self._propagate_head = len(trail)
 
     def _decide(self) -> int | None:
+        # Pops the most active variable, skipping assigned ones
+        # (``_VarHeap.pop`` inlined).
         values = self._values
-        while True:
-            var = self._order.pop()
-            if var is None:
-                return None
+        heap = self._order._heap
+        position = self._order._position
+        activity = self._activity
+        while heap:
+            var = heap[0]
+            last = heap.pop()
+            position[var] = -1
+            if heap:
+                size = len(heap)
+                index = 0
+                key = activity[last]
+                while True:
+                    child = 2 * index + 1
+                    if child >= size:
+                        break
+                    if child + 1 < size and activity[heap[child + 1]] > activity[heap[child]]:
+                        child += 1
+                    child_var = heap[child]
+                    if key >= activity[child_var]:
+                        break
+                    heap[index] = child_var
+                    position[child_var] = index
+                    index = child
+                heap[index] = last
+                position[last] = index
             if values[var] == _UNASSIGNED:
                 return var if self._polarity[var] else -var
+        return None
 
     def _learn(self, lits: list[int]) -> None:
         if len(lits) == 1:

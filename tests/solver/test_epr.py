@@ -258,3 +258,37 @@ class TestEmptySortHandling:
         result = solve_epr(vocab, [fml("exists X:id. le(X, X)", vocab)])
         assert result.satisfiable
         assert result.model.sort_size(node) >= 1  # non-empty domains
+
+
+class TestCollectorPause:
+    """Grounding and solving run with the cyclic collector paused."""
+
+    def test_collector_paused_inside_and_restored_after(self, vocab, monkeypatch):
+        import gc
+
+        from repro.solver.epr import PreparedEpr
+
+        seen = []
+        original = PreparedEpr._solve
+
+        def spy(self, *args, **kwargs):
+            seen.append(gc.isenabled())
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PreparedEpr, "_solve", spy)
+        assert gc.isenabled()
+        result = solve_epr(vocab, [fml("exists N:node. leader(N)", vocab)])
+        assert result.satisfiable
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, vocab):
+        import gc
+
+        gc.disable()
+        try:
+            result = solve_epr(vocab, [fml(TOTAL_ORDER, vocab)])
+            assert result.satisfiable
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
