@@ -41,6 +41,15 @@ def _span_field() -> Span | None:
 _COMPARED_FIELDS: dict[type, tuple[str, ...]] = {}
 
 
+def compared_fields(cls: type) -> tuple[str, ...]:
+    """The names of an AST node class's fields that take part in equality."""
+    names = _COMPARED_FIELDS.get(cls)
+    if names is None:
+        names = tuple(f.name for f in fields(cls) if f.compare)
+        _COMPARED_FIELDS[cls] = names
+    return names
+
+
 class _Node:
     """Base class giving all AST nodes a cached structural hash."""
 
@@ -51,10 +60,7 @@ class _Node:
             return self.__hash_cache
         except AttributeError:
             cls = type(self)
-            names = _COMPARED_FIELDS.get(cls)
-            if names is None:
-                names = tuple(f.name for f in fields(self) if f.compare)
-                _COMPARED_FIELDS[cls] = names
+            names = compared_fields(cls)
             value = hash(tuple(getattr(self, name) for name in names))
             value ^= hash(cls.__name__)
             object.__setattr__(self, "_Node__hash_cache", value)

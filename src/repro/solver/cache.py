@@ -1,12 +1,17 @@
 """Memoization of EPR query results, in memory and on disk.
 
-:class:`PreparedEpr.solve` consults the process-global :class:`QueryCache`
-before running its CEGAR loop.  Keys are content hashes of the *grounded*
-problem -- the SAT clause database as of grounding (variable count, root
-units, problem clauses), the registered lazy universal blocks, the working
-vocabulary -- paired with the assumption literals of the particular solve.
-Everything downstream of that pair is deterministic, so a hit returns
-exactly what a re-solve would have computed, minus the solving.
+The solver asks the process-global :class:`QueryCache` before it grounds
+anything: :meth:`EprSolver.check`, dispatch's ``_run_query`` (BMC,
+induction, Houdini and UPDR batches, in-process and in pool workers) and
+:meth:`PreparedEpr.solve` all look the key up first.  The key is
+``(digest, enabled)``: a sha256 over the solver's *input* -- a solver
+version salt, the vocabulary in declaration order, the adopted symbols
+with their sorts, each constraint's name, tracked flag and formula (an
+injective structural encoding, blind to source spans) and the options
+that change answers -- paired with the sorted names of the enabled
+tracked constraints (None for all).  Solving is deterministic in that
+input, so a hit returns what a re-solve would compute, minus the
+grounding and the solving.
 
 This is what lets Houdini re-checks and UPDR frame pushes that repeat an
 earlier obligation be answered without re-solving.  The cache is enabled
@@ -27,9 +32,9 @@ Two tiers, repository-style (index in front of a store):
 * the optional :class:`DiskCache` underneath is a **content-addressed
   store** shared across processes and runs.  ``REPRO_CACHE_PERSIST=1``
   enables it; entries live under ``REPRO_CACHE_DIR`` (default
-  ``.repro-cache/``) in shards keyed by the SHA-256 of the query
-  fingerprint.  Lookups fetch through: a memory miss consults the disk
-  and promotes hits into memory.  The on-disk mechanics -- atomic
+  ``.repro-cache/``) in shards keyed by the SHA-256 of the query key.
+  Lookups fetch through: a memory miss consults the disk and promotes
+  hits into memory.  The on-disk mechanics -- atomic
   writes, sha256 sharding, corrupt-entry healing under the store lock,
   retry with backoff on transient I/O errors -- live in the shared
   :class:`repro.store.ShardedStore`; a damaged store degrades to
@@ -65,7 +70,8 @@ DEFAULT_CAPACITY = 4096
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: serialization format version; bump to invalidate old on-disk entries
-DISK_FORMAT = 1
+#: (2: keys are solver-input digests, no longer grounded-CNF digests)
+DISK_FORMAT = 2
 
 
 class DiskCache:
@@ -139,7 +145,7 @@ class DiskCache:
 
 
 class QueryCache:
-    """A bounded LRU map from query fingerprints to :class:`EprResult`.
+    """A bounded LRU map from query keys to :class:`EprResult`.
 
     ``hits``/``misses``/``evictions`` are surfaced through
     :class:`~repro.solver.stats.SolverStats` (``--stats``).  With a
@@ -190,7 +196,7 @@ class QueryCache:
     def _insert(self, key: Hashable, result: "EprResult") -> None:
         if key in self._entries:
             # Overwrite, don't keep the stale entry: a re-solve of the
-            # same fingerprint carries fresher statistics/model data, and
+            # same key carries fresher statistics/model data, and
             # recency is bumped either way.
             self._entries[key] = result
             self._entries.move_to_end(key)

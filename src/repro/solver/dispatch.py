@@ -164,9 +164,11 @@ def _unknown_batch(query: Query, reason: FailureReason) -> list[EprResult]:
 def _run_query(query: Query) -> list[EprResult]:
     """Rebuild and solve one query (runs in a worker or in-process).
 
-    Degrades gracefully: a grounding explosion or budget exhaustion during
-    ``prepare`` yields one UNKNOWN per solve set; per-solve budget
-    exhaustion is handled inside :meth:`PreparedEpr.solve`.
+    Every solve set is first looked up in the query cache; when all of
+    them hit, nothing is grounded.  Degrades gracefully: a grounding
+    explosion or budget exhaustion during ``prepare`` yields an UNKNOWN
+    for each solve set that missed; per-solve budget exhaustion is handled
+    inside :meth:`PreparedEpr.solve`.
     """
     solver = EprSolver(
         query.vocab,
@@ -177,16 +179,21 @@ def _run_query(query: Query) -> list[EprResult]:
     )
     for name, formula, tracked in query.constraints:
         solver.add(formula, name=name, track=tracked)
+    hits = [solver._cached(enabled) for enabled in query.solve_sets]
+    if all(hit is not None for hit in hits):
+        return hits
     try:
         prepared = solver.prepare()
     except BudgetExceeded as exceeded:
-        return _unknown_batch(query, exceeded.reason)
+        reason = exceeded.reason
     except GroundingExplosion:
-        return _unknown_batch(query, FailureReason.GROUNDING_BLOWUP)
-    return [
-        prepared.solve(enabled if enabled is None else set(enabled))
-        for enabled in query.solve_sets
-    ]
+        reason = FailureReason.GROUNDING_BLOWUP
+    else:
+        return [
+            hit if hit is not None else prepared.solve(enabled)
+            for hit, enabled in zip(hits, query.solve_sets)
+        ]
+    return [hit if hit is not None else unknown_result(reason) for hit in hits]
 
 
 def _fork_context() -> multiprocessing.context.BaseContext | None:

@@ -7,7 +7,9 @@ satisfiable, extracts a finite model as a
 :class:`repro.logic.structures.Structure` (the finite model property in
 action: these models are the paper's counterexamples to induction).
 
-Pipeline per :meth:`EprSolver.check` call:
+Pipeline per :meth:`EprSolver.check` call, all of it skipped when the
+query cache already holds the answer (the key is taken from this input,
+before step 1; see :mod:`repro.solver.cache`):
 
 1. normalize each constraint (NNF, ite-elimination), skolemize its
    existentials into fresh constants -- sharing constants across disjuncts
@@ -85,6 +87,63 @@ def _gc_paused():
         yield
     finally:
         gc.enable()
+
+
+#: Salt of the query-cache key.  Bump it whenever solving semantics change
+#: (normalization, grounding, search, model extraction), so results stored
+#: by an older solver read as misses.
+KEY_VERSION = 1
+
+
+def _key_tokens(value, out: list[str]) -> None:
+    """Append an injective encoding of an AST value to ``out``.
+
+    A prefix walk over each node's compared fields: the class name, then
+    every field in order, tuples prefixed with their length.  Symbols are
+    kept by name (their signatures are in the vocabulary or in the adopted
+    symbols the key also covers), variables by name and sort.  Spans are
+    not compared fields, so they never reach the key.  The pretty-printer
+    is not injective -- a one-argument ``And`` prints as its argument, a
+    ``Var`` like a constant of the same name -- and both differences can
+    change the grounding, hence this walk.  Every token is an identifier,
+    a ``#length`` or the ``repr`` of a string, none of which contains a
+    newline, so newline-joined tokens decode uniquely.
+    """
+    kind = type(value)
+    if kind is tuple:
+        out.append(f"#{len(value)}")
+        for item in value:
+            _key_tokens(item, out)
+    elif kind is str:
+        out.append(repr(value))
+    elif kind is RelDecl or kind is FuncDecl or kind is Sort:
+        out.append(repr(value.name))
+    else:
+        out.append(kind.__name__)
+        for name in s.compared_fields(kind):
+            _key_tokens(getattr(value, name), out)
+
+
+def _enabled_key(enabled: Iterable[str] | None) -> tuple[str, ...] | None:
+    """The enabled half of a cache key: sorted names, None for all."""
+    return None if enabled is None else tuple(sorted(enabled))
+
+
+def _served(hit: EprResult) -> EprResult:
+    """A stored result, reported the way every cache hit is reported.
+
+    One ``epr.solve`` span with ``cached=True`` and the verdict, the
+    ``queries_total``/``cache_hits_total`` counters, and a result flagged
+    ``cached`` with ``{"cache_hits": 1}`` statistics.  Nothing was
+    grounded, so there is no ``epr.prepare`` span.
+    """
+    result = replace(hit, statistics={"cache_hits": 1}, cached=True)
+    with obs.span("epr.solve") as sp:
+        sp.set(verdict=result.verdict, cached=True)
+    if obs.metrics_enabled():
+        obs.inc("queries_total", verdict=result.verdict)
+        obs.inc("cache_hits_total")
+    return result
 
 
 @dataclass(frozen=True)
@@ -183,6 +242,10 @@ class EprSolver:
         self.budget = budget if budget is not None and not budget.unlimited else None
         self._constraints: list[_Constraint] = []
         self._names: set[str] = set()
+        self._digest: str | None = None  # input digest, reset by add()
+        #: enabled sets already looked up and missed; the next prepare()
+        #: hands them to its PreparedEpr so a miss is not read twice
+        self._missed: set[tuple[str, ...] | None] = set()
 
     def add(self, formula: s.Formula, name: str | None = None, track: bool = False) -> str:
         """Add a constraint; returns its (possibly generated) name.
@@ -196,11 +259,74 @@ class EprSolver:
             raise ValueError(f"duplicate constraint name {name!r}")
         self._names.add(name)
         self._constraints.append(_Constraint(name, formula, track))
+        self._digest = None
         return name
 
     def add_all(self, formulas: Iterable[s.Formula]) -> None:
         for formula in formulas:
             self.add(formula)
+
+    # ------------------------------------------------------------ cache key
+
+    def _input_digest(self) -> str:
+        """sha256 over everything a solve's answer depends on.
+
+        The query-cache key is this digest paired with the enabled set.  It
+        is computed from the solver's input, before any grounding, and
+        covers: the :data:`KEY_VERSION` salt; the vocabulary in declaration
+        order; the adopted symbols with their sorts (a constant declared
+        rather than adopted changes the extracted structure); each
+        constraint's name, tracked flag and formula, in order; and the
+        options that change answers.  The budget is left out: a result
+        that exhausted it is UNKNOWN, and UNKNOWN is never stored.
+        """
+        if self._digest is None:
+            from ..analysis.symmetry import symmetry_enabled
+
+            working, _ = self._working_vocabulary()
+            adopted = (
+                working.relations[len(self.vocab.relations):],
+                working.functions[len(self.vocab.functions):],
+            )
+            options = (
+                self.eager_threshold,
+                self.exclusive_tracked,
+                self.canonical_models,
+                symmetry_enabled(),
+            )
+            tokens = [
+                f"v{KEY_VERSION}", repr(self.vocab), repr(adopted),
+                repr(options), f"#{len(self._constraints)}",
+            ]
+            for constraint in self._constraints:
+                tokens.append(repr(constraint.name))
+                tokens.append("1" if constraint.tracked else "0")
+                _key_tokens(constraint.formula, tokens)
+            self._digest = hashlib.sha256(
+                "\n".join(tokens).encode()
+            ).hexdigest()
+        return self._digest
+
+    def _cached(self, enabled: Iterable[str] | None = None) -> EprResult | None:
+        """The stored answer for ``enabled``, looked up before grounding.
+
+        A hit is reported like every hit (:func:`_served`); a miss is
+        remembered, and the next :meth:`prepare` passes it on so the
+        solve that follows does not read the store again.
+        """
+        cache = query_cache()
+        if cache is None:
+            return None
+        names = _enabled_key(enabled)
+        if names in self._missed:
+            return None
+        with profile.phase("cache"):
+            key = (self._input_digest(), names)
+        hit = cache.lookup(key)
+        if hit is None:
+            self._missed.add(names)
+            return None
+        return _served(hit)
 
     # ------------------------------------------------------------- checking
 
@@ -221,6 +347,9 @@ class EprSolver:
         with obs.span("epr.prepare", constraints=len(self._constraints)) as sp:
             with profile.collect() as prof, _gc_paused():
                 prepared = self._prepare()
+                with profile.phase("cache"):
+                    prepared._digest = self._input_digest()
+            prepared._missed, self._missed = self._missed, set()
             sp.set(instances=prepared.instance_count)
             if prof is not None and prof.wall:
                 phases = prof.attrs_ms()
@@ -339,10 +468,14 @@ class EprSolver:
     def check(self, max_rounds: int = 10_000) -> EprResult:
         """Decide the conjunction of all added constraints.
 
+        The query cache is asked first, so a hit grounds nothing.
         Degrades gracefully: a grounding explosion or an exhausted budget
         yields an UNKNOWN :class:`EprResult` (with the typed failure
         reason) instead of an exception.
         """
+        hit = self._cached()
+        if hit is not None:
+            return hit
         try:
             prepared = self.prepare()
         except BudgetExceeded as exceeded:
@@ -459,9 +592,10 @@ class EprSolver:
             # Deterministic adoption order: symbols_of returns a frozenset,
             # and frozenset iteration order varies with hash randomization.
             # Adoption order decides universe and SAT-variable numbering,
-            # which the query fingerprint hashes -- iterating the raw set
-            # would give every interpreter its own cache keys, defeating
-            # the cross-process disk cache.
+            # hence the model a solve returns, and the query-cache key
+            # hashes the adopted symbols in this order -- iterating the raw
+            # set would give every interpreter its own keys (defeating the
+            # cross-process disk cache) and its own models.
             for decl in sorted(s.symbols_of(constraint.formula), key=_decl_key):
                 if decl in seen:
                     continue
@@ -576,7 +710,9 @@ class PreparedEpr:
         self._asserted: set[s.Formula] = set()
         self.instance_count = 0
         self.symmetry_orbits = 0  # orbits broken at grounding time
-        self._digest: str | None = None
+        self._digest = ""  # the owner's input digest, set by prepare()
+        #: enabled sets the owner looked up and missed before grounding
+        self._missed: set[tuple[str, ...] | None] = set()
         self._meter: BudgetMeter | None = None  # active during prepare/solve
         self._pending_phases: dict[str, int] = {}  # prepare phases, unreported
 
@@ -594,29 +730,38 @@ class PreparedEpr:
     def solve(
         self, enabled: Iterable[str] | None = None, max_rounds: int = 10_000
     ) -> EprResult:
+        names = None if enabled is None else frozenset(enabled)
+        cache = query_cache()
+        key = None
+        if cache is not None:
+            key = (self._fingerprint(), _enabled_key(names))
+            if key[1] in self._missed:
+                self._missed.discard(key[1])  # the owner just missed it
+            else:
+                hit = cache.lookup(key)
+                if hit is not None:
+                    return _served(hit)
         with obs.span("epr.solve") as sp:
             with profile.collect() as prof, _gc_paused():
-                outcome = self._solve(enabled, max_rounds)
+                outcome = self._solve(names, max_rounds)
+                if key is not None:
+                    cache.store(key, outcome)
             statistics = outcome.statistics
             if prof is not None and prof.wall:
                 phases = prof.attrs_ms()
                 sp.set(**phases)
                 profile.publish(prof)
-                if not outcome.cached:
-                    # Cached hits keep their bare ``{"cache_hits": 1}``
-                    # statistics shape; their (tiny) lookup wall still
-                    # lands on the span and in the metrics histogram.
-                    statistics.update(phases)
-            if self._pending_phases and not outcome.cached:
+                statistics.update(phases)
+            if self._pending_phases:
                 # Prepare-time phases (normalize/ground/cnf) ride the first
-                # *solved* query's statistics; they are not set on this
-                # span -- they already live on the epr.prepare span, and
+                # solved query's statistics; they are not set on this span
+                # -- they already live on the epr.prepare span, and
                 # hotspot reports sum phases across both span kinds.
                 statistics.update(self._pending_phases)
                 self._pending_phases = {}
             sp.set(
                 verdict=outcome.verdict,
-                cached=outcome.cached,
+                cached=False,
                 instances=statistics.get("instances", self.instance_count),
                 solve_ms=statistics.get("solve_ms", 0),
                 cegar_rounds=statistics.get("cegar_rounds", 0),
@@ -624,27 +769,21 @@ class PreparedEpr:
             )
             if obs.metrics_enabled():
                 obs.inc("queries_total", verdict=outcome.verdict)
-                if outcome.cached:
-                    obs.inc("cache_hits_total")
-                else:
-                    obs.inc("cache_misses_total")
-                    obs.observe(
-                        "query_latency_ms", statistics.get("solve_ms", 0)
-                    )
-                    obs.observe("grounded_instances", self.instance_count)
+                obs.inc("cache_misses_total")
+                obs.observe("query_latency_ms", statistics.get("solve_ms", 0))
+                obs.observe("grounded_instances", self.instance_count)
             return outcome
 
     def _solve(
-        self, enabled: Iterable[str] | None = None, max_rounds: int = 10_000
+        self, names: frozenset[str] | None, max_rounds: int
     ) -> EprResult:
-        if enabled is None:
+        if names is None:
             if self.exclusive and len(self.selectors) > 1:
                 raise ValueError(
                     "exclusive_tracked solvers must enable one constraint at a time"
                 )
             assumptions = sorted(self.selectors)
         else:
-            names = set(enabled)
             if self.exclusive and len(names) > 1:
                 raise ValueError(
                     "exclusive_tracked solvers must enable one constraint at a time"
@@ -654,19 +793,6 @@ class PreparedEpr:
                 raise KeyError(f"unknown tracked constraints: {sorted(unknown)}")
             assumptions = sorted(self.selector_of[name] for name in names)
         owner = self._owner
-        cache = query_cache()
-        key = None
-        if cache is not None:
-            # Fingerprinting hashes a repr of the whole grounded problem;
-            # it is cache-key work and billed to the cache phase.
-            with profile.phase("cache"):
-                key = (self._fingerprint(), tuple(assumptions))
-            hit = cache.lookup(key)
-            if hit is not None:
-                # Solving is deterministic downstream of the grounded CNF
-                # and assumptions, so the stored result is exactly what a
-                # re-solve would compute; only the statistics differ.
-                return replace(hit, statistics={"cache_hits": 1}, cached=True)
         start = time.perf_counter()
         counters = {"rounds": 0, "congruence": 0, "lazy": 0}
         self._meter = owner.budget.start() if owner.budget is not None else None
@@ -682,7 +808,7 @@ class PreparedEpr:
                 counters["congruence"], counters["lazy"],
             )
             statistics["solve_ms"] = int((time.perf_counter() - start) * 1000)
-            # UNKNOWN proves nothing and must never be served from cache.
+            # UNKNOWN proves nothing and is never stored by the cache.
             return unknown_result(exceeded.reason, statistics)
         finally:
             self._meter = None
@@ -695,62 +821,27 @@ class PreparedEpr:
             core = frozenset(
                 self.selectors[lit] for lit in result.core if lit in self.selectors
             )
-            outcome = EprResult(False, core=core, statistics=statistics)
-        else:
-            with profile.phase("extract"):
-                structure, term_to_elem = owner._extract(
-                    self.builder, result.model, reps, self.universe,
-                    self.working_vocab,
-                )
-            outcome = EprResult(
-                True,
-                model=structure,
-                term_to_elem=term_to_elem,
-                statistics=statistics,
+            return EprResult(False, core=core, statistics=statistics)
+        with profile.phase("extract"):
+            structure, term_to_elem = owner._extract(
+                self.builder, result.model, reps, self.universe,
+                self.working_vocab,
             )
-        if cache is not None:
-            cache.store(key, outcome)
-        return outcome
+        return EprResult(
+            True,
+            model=structure,
+            term_to_elem=term_to_elem,
+            statistics=statistics,
+        )
 
     def _fingerprint(self) -> str:
-        """Content hash of the grounded problem, computed once on first use.
+        """The query-cache digest: the owner's input digest at prepare().
 
-        Captured before any solving mutates the clause database, the digest
-        covers the SAT snapshot (variables, root units, problem clauses),
-        the lazy universal blocks, the tracked-selector assignment, and the
-        working vocabulary/universe shape -- everything the answer and the
-        extracted model can depend on.
+        Solving is deterministic given the solver's input and the enabled
+        set, so a stored result is what a re-solve would compute, minus
+        the statistics.  The digest is taken from the input rather than
+        from this grounding, so a lookup needs no grounding at all.
         """
-        if self._digest is None:
-            digest = hashlib.sha256()
-            digest.update(repr(self.sat.snapshot()).encode())
-            # The CEGAR loop's behaviour depends on what each SAT variable
-            # *means* (congruence refutation, MBQI evaluation), not just on
-            # the clause shapes -- the atom map must be part of the key.
-            digest.update(
-                repr(sorted(
-                    (var, atom) for atom, var in self.builder.atoms.items()
-                )).encode()
-            )
-            digest.update(
-                repr([
-                    (block.vars, block.matrix, block.selector)
-                    for block in self.lazy_blocks
-                ]).encode()
-            )
-            digest.update(repr(sorted(self.selectors.items())).encode())
-            digest.update(
-                repr((
-                    sorted(decl.name for decl in self.working_vocab.relations),
-                    sorted(decl.name for decl in self.working_vocab.functions),
-                    sorted(
-                        (sort.name, len(terms))
-                        for sort, terms in self.universe.items()
-                    ),
-                    self._owner.canonical_models,
-                )).encode()
-            )
-            self._digest = digest.hexdigest()
         return self._digest
 
     def _stable_solve(self, assumptions, counters, max_rounds):

@@ -116,18 +116,27 @@ class EqualityTheory:
                     queue.append(neighbor)
         return component
 
-    def _path(self, start: s.Term, goal: s.Term, adjacency) -> list[s.Term]:
-        """A path of true equality edges from ``start`` to ``goal``."""
+    @staticmethod
+    def _parents(start: s.Term, adjacency) -> dict[s.Term, s.Term]:
+        """BFS parent pointers from ``start`` over its whole component.
+
+        Each node keeps the parent it is first reached from, so the path a
+        search that stopped at some goal would read off is the same as the
+        one read from this forest.
+        """
         parents: dict[s.Term, s.Term] = {start: start}
         queue = deque([start])
         while queue:
             term = queue.popleft()
-            if term == goal:
-                break
             for neighbor in adjacency.get(term, ()):
                 if neighbor not in parents:
                     parents[neighbor] = term
                     queue.append(neighbor)
+        return parents
+
+    @staticmethod
+    def _path(start: s.Term, goal: s.Term, parents) -> list[s.Term]:
+        """The path of true equality edges from ``start`` to ``goal``."""
         path = [goal]
         while path[-1] != start:
             path.append(parents[path[-1]])
@@ -159,6 +168,9 @@ class EqualityTheory:
         """
         clauses: list[list[int]] = []
         adjacency = None
+        # One BFS forest per start term per round, shared by every atom
+        # with that left-hand side.
+        forests: dict[s.Term, dict[s.Term, s.Term]] = {}
         # Atoms minted below by eq_lit are indexed next round, not visited
         # now (and are unassigned in ``model`` anyway).
         for atom, var in self._eq_atoms:
@@ -170,7 +182,10 @@ class EqualityTheory:
                 continue
             if adjacency is None:
                 adjacency = self._true_edges(model)
-            path = self._path(lhs, rhs, adjacency)
+            parents = forests.get(lhs)
+            if parents is None:
+                parents = forests[lhs] = self._parents(lhs, adjacency)
+            path = self._path(lhs, rhs, parents)
             for index in range(2, len(path)):
                 prefix = self.builder.eq_lit(path[0], path[index - 1])
                 edge = self.builder.eq_lit(path[index - 1], path[index])

@@ -186,24 +186,6 @@ class Solver:
         for clause in clauses:
             self.add_clause(clause)
 
-    def snapshot(
-        self,
-    ) -> tuple[bool, int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """Content snapshot of the problem: the root-conflict flag (a clause
-        reduced to empty at level 0 leaves no other trace), variable count,
-        root-level implied literals (unit clauses live on the trail, not in
-        the clause list), and the problem clauses.  Used for query-cache
-        fingerprints; learned clauses are excluded -- they are implied, so
-        two solvers with equal snapshots decide every assumption set
-        identically."""
-        self._backtrack(0)
-        return (
-            self._unsat,
-            self._num_vars,
-            tuple(sorted(self._trail)),
-            tuple(tuple(clause.lits) for clause in self._clauses),
-        )
-
     def solve(
         self, assumptions: Sequence[int] = (), meter: BudgetMeter | None = None
     ) -> SatResult:

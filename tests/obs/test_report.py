@@ -84,6 +84,34 @@ class TestTracedCheck:
         assert "slowest queries" in out
 
 
+class TestTracedWarmRerun:
+    def test_warm_hits_are_reported_without_grounding(self, tmp_path, capsys):
+        assert main(["check", "lock_server"]) == 0  # fills the query cache
+        trace, metrics = _run_traced(
+            tmp_path, ["check", "lock_server", "--stats"]
+        )
+        assert "(100% hit rate)" in capsys.readouterr().out
+        _, nodes, _ = obs.build_tree(obs.load_trace(str(trace)))
+        names = {node.name for node in nodes.values()}
+        assert "epr.prepare" not in names
+        solves = [n for n in nodes.values() if n.name == obs.QUERY_SPAN]
+        assert solves
+        for solve in solves:
+            assert solve.attrs == {"verdict": "unsat", "cached": True}
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["cache_hits_total"] == len(solves)
+        assert counters["queries_total{verdict=unsat}"] == len(solves)
+        assert "cache_misses_total" not in counters
+        assert main(["report", str(trace)]) == 0
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if "lock_server" in line and "induction" in line
+        )
+        # queries, sat, unsat, unk, cached, time
+        queries, sat, unsat, unknown, cached = row.split()[2:7]
+        assert queries == unsat == cached == str(len(solves))
+
+
 class TestTracedVerify:
     def test_verify_bundled_example(self, tmp_path, capsys):
         assert LOCK_SERVER_RML.exists()

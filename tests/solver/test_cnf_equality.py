@@ -1,5 +1,8 @@
 """Tseitin conversion and the ground equality theory."""
 
+import random
+from collections import deque
+
 import pytest
 
 from repro.logic import (
@@ -203,3 +206,44 @@ class TestEqualityTheory:
         assert result.satisfiable
         reps = theory.classes(result.model)
         assert len(reps) == 200
+
+
+def _early_exit_path(start, goal, adjacency):
+    """A BFS from ``start`` that stops at ``goal``: one search per atom,
+    as transitivity explanations were found before the per-round forest."""
+    parents = {start: start}
+    queue = deque([start])
+    while queue:
+        term = queue.popleft()
+        if term == goal:
+            break
+        for neighbor in adjacency.get(term, ()):
+            if neighbor not in parents:
+                parents[neighbor] = term
+                queue.append(neighbor)
+    path = [goal]
+    while path[-1] != start:
+        path.append(parents[path[-1]])
+    path.reverse()
+    return path
+
+
+class TestPathForest:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_forest_paths_equal_early_exit_search(self, seed):
+        rng = random.Random(seed)
+        terms = [
+            App(FuncDecl(f"t{index}", (), elem), ())
+            for index in range(rng.randint(2, 14))
+        ]
+        adjacency = {}
+        for _ in range(rng.randint(1, 3 * len(terms))):
+            lhs, rhs = rng.sample(terms, 2)
+            adjacency.setdefault(lhs, []).append(rhs)
+            adjacency.setdefault(rhs, []).append(lhs)
+        for start in terms:
+            parents = EqualityTheory._parents(start, adjacency)
+            for goal in parents:
+                assert EqualityTheory._path(start, goal, parents) == (
+                    _early_exit_path(start, goal, adjacency)
+                )

@@ -158,6 +158,30 @@ class TestFetchThrough:
         assert second.cached and second.statistics == {"cache_hits": 1}
 
 
+class TestLookupBeforeGrounding:
+    def test_cold_check_reads_the_store_once(self, tmp_path):
+        disk = DiskCache(str(tmp_path))
+        cache = QueryCache(disk=disk)
+        install_cache(cache)
+        assert not _solver([SOME_P, NO_P]).check().satisfiable
+        assert (disk.misses, cache.misses, len(disk)) == (1, 1, 1)
+
+    def test_cold_query_reads_each_solve_set_once(self, tmp_path):
+        disk = DiskCache(str(tmp_path))
+        install_cache(QueryCache(disk=disk))
+        solver = EprSolver(VOCAB)
+        solver.add(SOME_P, name="some_p", track=True)
+        solver.add(NO_P, name="no_p", track=True)
+        sets = [frozenset({"some_p"}), frozenset({"some_p", "no_p"})]
+        (batch,) = solve_queries([query_of(solver, solve_sets=sets)], jobs=1)
+        assert [r.satisfiable for r in batch] == [True, False]
+        assert (disk.misses, len(disk)) == (2, 2)
+        install_cache(QueryCache(disk=disk))  # warm: every set hits
+        (warm,) = solve_queries([query_of(solver, solve_sets=sets)], jobs=1)
+        assert [r.satisfiable for r in warm] == [True, False]
+        assert all(r.cached for r in warm) and disk.hits == 2
+
+
 class TestCacheEnv:
     def test_repro_cache_read_at_call_time(self, monkeypatch):
         # Regression: REPRO_CACHE was read at import time, so setting it

@@ -266,6 +266,7 @@ class TestCollectorPause:
     def test_collector_paused_inside_and_restored_after(self, vocab, monkeypatch):
         import gc
 
+        from repro.solver import install_cache
         from repro.solver.epr import PreparedEpr
 
         seen = []
@@ -276,8 +277,14 @@ class TestCollectorPause:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(PreparedEpr, "_solve", spy)
-        assert gc.isenabled()
-        result = solve_epr(vocab, [fml("exists N:node. leader(N)", vocab)])
+        # An earlier test may have cached this query, and a hit solves
+        # nothing: run with the cache off so the solve being spied on runs.
+        old_cache = install_cache(None)
+        try:
+            assert gc.isenabled()
+            result = solve_epr(vocab, [fml("exists N:node. leader(N)", vocab)])
+        finally:
+            install_cache(old_cache)
         assert result.satisfiable
         assert seen == [False]
         assert gc.isenabled()
