@@ -17,15 +17,14 @@ Measures the two wins of the solver-dispatch layer:
   (``REPRO_CACHE_PERSIST=1``) -- the cross-run win the in-memory cache
   cannot provide.
 
-All numbers are reported through :class:`~repro.solver.stats.SolverStats`
+All counts are read from a fresh :class:`~repro.obs.MetricsRegistry`
+per measured run (its ``--stats`` summary goes into the results text)
 and, machine-readably, merged into ``BENCH_dispatch.json`` at the repo
 root (see :mod:`benchmarks.telemetry`).
 
 ``test_tracing_overhead`` pins the observability tentpole's promise:
 span tracing on a serial BMC workload must cost no more than 5% wall
-time over the untraced run.  ``test_profiler_overhead`` holds the
-per-phase query profiler (:mod:`repro.obs.profile`) to the same 5%
-envelope, timers-on (the default) versus timers-off.
+time over the untraced run.
 """
 
 import io
@@ -41,7 +40,7 @@ from repro import obs
 from repro.core.bounded import check_k_invariance
 from repro.core.houdini import houdini
 from repro.logic import Sort, Var
-from repro.solver import QueryCache, SolverStats, install_cache
+from repro.solver import QueryCache, install_cache
 
 from .conftest import record
 from .telemetry import REPO_ROOT, effective_cpus, update_bench
@@ -66,25 +65,45 @@ def fresh_cache():
     install_cache(old)
 
 
-def _bmc_once(bundle, jobs, stats):
+def _measured(run):
+    """``run()`` under a fresh metrics registry; returns (result, registry)."""
+    registry = obs.MetricsRegistry()
+    old = obs.install_metrics(registry)
+    try:
+        return run(), registry
+    finally:
+        obs.install_metrics(old)
+
+
+def _count(registry, prefix):
+    """Sum of the registry's counters whose series start with ``prefix``."""
+    return sum(
+        value
+        for key, value in registry.to_dict()["counters"].items()
+        if key.startswith(prefix)
+    )
+
+
+def _bmc_once(bundle, jobs):
     safety = bundle.safety[0].formula
     start = time.perf_counter()
-    result = check_k_invariance(bundle.program, safety, BMC_BOUND, jobs=jobs, stats=stats)
+    result = check_k_invariance(bundle.program, safety, BMC_BOUND, jobs=jobs)
     return result, time.perf_counter() - start
 
 
 def test_parallel_bmc_speedup(benchmark, bundles, results_dir, no_cache):
     """Multi-depth BMC, serial vs ``--jobs 4``."""
     bundle = bundles["leader_election"]
-    serial_stats, parallel_stats = SolverStats(), SolverStats()
-    with serial_stats.phase("bmc-serial"):
-        serial_result, serial_time = _bmc_once(bundle, 1, serial_stats)
+    (serial_result, serial_time), serial_stats = _measured(
+        lambda: _bmc_once(bundle, 1)
+    )
 
     def run():
-        with parallel_stats.phase("bmc-parallel"):
-            return _bmc_once(bundle, JOBS, parallel_stats)
+        return _measured(lambda: _bmc_once(bundle, JOBS))
 
-    parallel_result, parallel_time = benchmark.pedantic(run, rounds=1, iterations=1)
+    (parallel_result, parallel_time), parallel_stats = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
     assert serial_result.holds and parallel_result.holds
     speedup = serial_time / parallel_time if parallel_time else float("inf")
     cpus = effective_cpus()
@@ -94,8 +113,8 @@ def test_parallel_bmc_speedup(benchmark, bundles, results_dir, no_cache):
     summary = (
         f"BMC k={BMC_BOUND} leader_election: serial {serial_time:.2f}s, "
         f"--jobs {JOBS} {parallel_time:.2f}s, speedup {speedup:.2f}x "
-        f"(on {cpus} effective cpu)\n\n{serial_stats.format()}\n\n"
-        f"{parallel_stats.format()}\n"
+        f"(on {cpus} effective cpu)\n\n{serial_stats.format_stats()}\n\n"
+        f"{parallel_stats.format_stats()}\n"
     )
     record(results_dir, "dispatch_bmc_speedup", summary)
     update_bench(
@@ -106,15 +125,15 @@ def test_parallel_bmc_speedup(benchmark, bundles, results_dir, no_cache):
             "parallel_s": round(parallel_time, 3),
             "jobs": JOBS,
             "speedup": round(speedup, 2),
-            "queries": parallel_stats.queries,
-            "dispatched": parallel_stats.dispatched,
+            "queries": _count(parallel_stats, "queries_total{"),
+            "dispatched": _count(parallel_stats, "dispatched_total"),
             "effective_cpus": cpus,
             # A speedup measured while workers time-slice one CPU says
             # nothing about dispatch; consumers must ignore such figures.
             "single_cpu": cpus < 2,
         },
     )
-    assert parallel_stats.dispatched == BMC_BOUND + 1
+    assert _count(parallel_stats, "dispatched_total") == BMC_BOUND + 1
     if cpus < 2:
         pytest.skip(
             f"1 effective CPU: measured {speedup:.2f}x, flagged in JSON, "
@@ -293,38 +312,40 @@ def test_houdini_rerun_cache_hit_rate(benchmark, bundles, results_dir, fresh_cac
             max_candidates=400,
         )
     )
-    first_stats, second_stats = SolverStats(), SolverStats()
-    first = houdini(bundle.program, pool, stats=first_stats)
+    first = houdini(bundle.program, pool)
 
     def run():
-        return houdini(bundle.program, pool, stats=second_stats)
+        return _measured(lambda: houdini(bundle.program, pool))
 
-    second = benchmark.pedantic(run, rounds=1, iterations=1)
+    second, second_stats = benchmark.pedantic(run, rounds=1, iterations=1)
+    queries = _count(second_stats, "queries_total{")
+    cache_hits = _count(second_stats, "cache_hits_total")
+    hit_rate = cache_hits / queries if queries else 0.0
     assert [c.name for c in second.invariant] == [c.name for c in first.invariant]
     benchmark.extra_info.update(
         {
             "pool": len(pool),
-            "hit_rate": round(second_stats.cache_hit_rate, 3),
+            "hit_rate": round(hit_rate, 3),
         }
     )
     record(
         results_dir,
         "dispatch_houdini_cache",
         f"houdini rerun over {len(pool)} candidates: "
-        f"{second_stats.cache_hits}/{second_stats.queries} queries from cache "
-        f"({second_stats.cache_hit_rate:.0%})\n\n{second_stats.format()}\n",
+        f"{cache_hits}/{queries} queries from cache "
+        f"({hit_rate:.0%})\n\n{second_stats.format_stats()}\n",
     )
     update_bench(
         "dispatch",
         "houdini_cache",
         {
             "pool": len(pool),
-            "queries": second_stats.queries,
-            "cache_hits": second_stats.cache_hits,
-            "cache_hit_rate": round(second_stats.cache_hit_rate, 3),
+            "queries": queries,
+            "cache_hits": cache_hits,
+            "cache_hit_rate": round(hit_rate, 3),
         },
     )
-    assert second_stats.cache_hit_rate >= 0.9
+    assert hit_rate >= 0.9
 
 
 def test_budget_metering_overhead(benchmark, bundles, results_dir, no_cache):
@@ -440,66 +461,3 @@ def test_tracing_overhead(benchmark, bundles, results_dir, no_cache):
         f"(untraced {plain_time:.2f}s, traced {traced_time:.2f}s)"
     )
 
-
-def test_profiler_overhead(benchmark, bundles, results_dir, no_cache):
-    """Phase timers on (the default) must cost <= 5% over timers off.
-
-    The profiler brackets every grounding, CDCL call, theory round, and
-    cache access with two ``perf_counter`` + two ``thread_time`` reads;
-    this pins that the coarse placement keeps the serial BMC workload
-    within the same 5% envelope the tracer honors.
-    """
-    from repro.obs import profile
-
-    bundle = bundles["leader_election"]
-    safety = bundle.safety[0].formula
-
-    def bmc():
-        return check_k_invariance(bundle.program, safety, BMC_BOUND, jobs=1)
-
-    def best_of(runs):
-        best = float("inf")
-        result = None
-        for _ in range(runs):
-            start = time.perf_counter()
-            result = bmc()
-            best = min(best, time.perf_counter() - start)
-        return result, best
-
-    was_on = profile.set_profiling(False)
-    try:
-        off_result, off_time = best_of(2)
-    finally:
-        profile.set_profiling(True)
-
-    def run():
-        return best_of(2)
-
-    try:
-        on_result, on_time = benchmark.pedantic(run, rounds=1, iterations=1)
-    finally:
-        profile.set_profiling(was_on)
-    assert off_result.holds and on_result.holds
-    overhead = on_time / off_time - 1.0 if off_time else 0.0
-    benchmark.extra_info.update(
-        {"off_s": round(off_time, 3), "overhead": round(overhead, 3)}
-    )
-    record(
-        results_dir,
-        "dispatch_profiler_overhead",
-        f"BMC k={BMC_BOUND} leader_election: profiler off {off_time:.2f}s, "
-        f"on {on_time:.2f}s ({overhead:+.1%} overhead)\n",
-    )
-    update_bench(
-        "dispatch",
-        "profiler_overhead",
-        {
-            "off_s": round(off_time, 3),
-            "on_s": round(on_time, 3),
-            "overhead": round(overhead, 4),
-        },
-    )
-    assert overhead <= 0.05, (
-        f"profiler overhead {overhead:+.1%} exceeds the 5% budget "
-        f"(off {off_time:.2f}s, on {on_time:.2f}s)"
-    )

@@ -1,8 +1,8 @@
 """Per-protocol verification telemetry: the Fig. 14 shape, machine-readable.
 
 Runs the inductiveness check of every bundled protocol's published
-invariant with a fresh query cache and a :class:`SolverStats` collector,
-and writes one row per protocol -- wall time, query count, verdict
+invariant with a fresh query cache and a fresh metrics registry, and
+writes one row per protocol -- wall time, query count, verdict
 counts, cache hit rate, and whether the invariant held -- into
 ``BENCH_protocols.json`` at the repository root (schema documented in
 :mod:`benchmarks.telemetry`).
@@ -25,11 +25,17 @@ import time
 import pytest
 
 from repro.core.induction import check_inductive
+from repro.obs import MetricsRegistry, install_metrics
+from repro.obs.metrics import parse_key
 from repro.protocols import ALL_PROTOCOLS
-from repro.solver import QueryCache, SolverStats, install_cache
+from repro.solver import QueryCache, install_cache
 
 from .conftest import record
 from .telemetry import write_bench
+
+
+#: the registry series counting grounded instances
+INSTANCES = "solver_work_total{counter=instances}"
 
 
 @pytest.fixture
@@ -38,6 +44,27 @@ def fresh_cache():
     old = install_cache(cache)
     yield cache
     install_cache(old)
+
+
+def _measured(run):
+    """``run()`` under a fresh metrics registry: (result, counters, phase ms).
+
+    The phase totals are the ``query_phase_ms`` histogram sums, by phase.
+    """
+    registry = MetricsRegistry()
+    old = install_metrics(registry)
+    try:
+        result = run()
+    finally:
+        install_metrics(old)
+    snapshot = registry.to_dict()
+    phases: dict[str, float] = {}
+    for key, histogram in snapshot["histograms"].items():
+        name, labels = parse_key(key)
+        if name == "query_phase_ms":
+            phase = labels["phase"]
+            phases[phase] = round(phases.get(phase, 0.0) + histogram["sum"], 3)
+    return result, snapshot["counters"], phases
 
 
 def _unsliced_run(bundle) -> tuple[int, bool]:
@@ -50,16 +77,17 @@ def _unsliced_run(bundle) -> tuple[int, bool]:
     saved = os.environ.get("REPRO_SLICE")
     os.environ["REPRO_SLICE"] = "0"
     previous = install_cache(QueryCache())
-    stats = SolverStats()
     try:
-        result = check_inductive(bundle.program, list(bundle.invariant), stats=stats)
+        result, counters, _ = _measured(
+            lambda: check_inductive(bundle.program, list(bundle.invariant))
+        )
     finally:
         install_cache(previous)
         if saved is None:
             os.environ.pop("REPRO_SLICE", None)
         else:
             os.environ["REPRO_SLICE"] = saved
-    return stats.counters.get("instances", 0), result.holds
+    return counters.get(INSTANCES, 0), result.holds
 
 
 def _symmetry_orbits(bundle) -> int:
@@ -75,14 +103,21 @@ def _protocol_row(name, bundle, ledger_root) -> dict:
     from repro.proof.ledger import Ledger
 
     ledger = Ledger(str(ledger_root / name))
-    stats = SolverStats()
     start = time.perf_counter()
-    result = check_inductive(
-        bundle.program, list(bundle.invariant), stats=stats, ledger=ledger
+    result, counters, phases = _measured(
+        lambda: check_inductive(
+            bundle.program, list(bundle.invariant), ledger=ledger
+        )
     )
     wall = time.perf_counter() - start
     full_instances, full_holds = _unsliced_run(bundle)
-    sliced_instances = stats.counters.get("instances", 0)
+    sliced_instances = counters.get(INSTANCES, 0)
+    verdicts = {
+        verdict: counters.get(f"queries_total{{verdict={verdict}}}", 0)
+        for verdict in ("sat", "unsat", "unknown")
+    }
+    hits = counters.get("cache_hits_total", 0)
+    lookups = hits + counters.get("cache_misses_total", 0)
     slice_ratio = (
         round(1 - sliced_instances / full_instances, 3) if full_instances else 0.0
     )
@@ -99,11 +134,11 @@ def _protocol_row(name, bundle, ledger_root) -> dict:
     return {
         "wall_s": round(wall, 3),
         "holds": result.holds,
-        "queries": stats.queries,
-        "sat": stats.sat_answers,
-        "unsat": stats.unsat_answers,
-        "unknown": stats.unknown_answers,
-        "cache_hit_rate": round(stats.cache_hit_rate, 3),
+        "queries": sum(verdicts.values()),
+        "sat": verdicts["sat"],
+        "unsat": verdicts["unsat"],
+        "unknown": verdicts["unknown"],
+        "cache_hit_rate": round(hits / lookups, 3) if lookups else 0.0,
         "conjectures": len(bundle.invariant),
         "sorts": bundle.sort_count(),
         "symbols": bundle.symbol_count(),
@@ -113,16 +148,10 @@ def _protocol_row(name, bundle, ledger_root) -> dict:
         # Schema v4: cone-of-influence slicing effect and symmetry count.
         "slice_ratio": slice_ratio,
         "symmetry_orbits": _symmetry_orbits(bundle),
-        # Schema v3: per-phase wall totals (ms) aggregated by SolverStats
-        # from the phase_*_ms keys the profiler puts in every query's
-        # statistics; lets the regression gate name the phase that slowed.
-        "phases": {
-            key[len("phase_") : -len("_ms")]: value
-            for key, value in sorted(stats.counters.items())
-            if key.startswith("phase_")
-            and key.endswith("_ms")
-            and not key.endswith("_cpu_ms")
-        },
+        # Schema v3: per-phase wall totals (ms), the query_phase_ms
+        # histogram sums; lets the regression gate name the phase that
+        # slowed.
+        "phases": dict(sorted(phases.items())),
     }
 
 

@@ -29,23 +29,27 @@ import time
 
 def bmc_mode(protocol: str, bound: int) -> dict:
     from repro.core.bounded import check_k_invariance
+    from repro.obs import MetricsRegistry, install_metrics
     from repro.protocols import ALL_PROTOCOLS
-    from repro.solver import SolverStats
 
     bundle = ALL_PROTOCOLS[protocol].build()
     safety = bundle.safety[0].formula
-    stats = SolverStats()
+    registry = MetricsRegistry()
+    install_metrics(registry)
     start = time.perf_counter()
-    result = check_k_invariance(
-        bundle.program, safety, bound, jobs=1, stats=stats
-    )
+    result = check_k_invariance(bundle.program, safety, bound, jobs=1)
     wall = time.perf_counter() - start
+    snapshot = registry.to_dict()
+    counters = snapshot["counters"]
     return {
         "wall_s": wall,
         "holds": result.holds,
-        "queries": stats.queries,
-        "cache_hits": stats.cache_hits,
-        "cache_hit_rate": stats.cache_hit_rate,
+        "queries": sum(
+            value for key, value in counters.items()
+            if key.startswith("queries_total{")
+        ),
+        "cache_hits": counters.get("cache_hits_total", 0),
+        "cache_hit_rate": snapshot["derived"].get("cache_hit_rate", 0.0),
     }
 
 

@@ -25,8 +25,8 @@ wall time of that rerun (every obligation served from disk).
 
 Version 3 added the ``phases`` sub-dict to the protocol rows -- the
 per-phase wall totals (``normalize``/``ground``/``cnf``/``cache``/
-``sat``/``theory``/``extract``, in ms) that
-:mod:`repro.obs.profile` attaches to every query's statistics -- so the
+``sat``/``theory``/``extract``/``ledger``, in ms), the sums of the
+``query_phase_ms`` histogram :mod:`repro.obs.profile` feeds -- so the
 regression gate (:mod:`repro.obs.benchcmp`, ``benchmarks/compare.py``)
 can attribute a wall-time regression to the phase that slowed down.
 

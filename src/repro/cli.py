@@ -21,8 +21,6 @@ Subcommands mirror the paper's workflow:
 * ``report <trace.jsonl>`` -- render the per-phase / per-query breakdown
   of a trace produced with ``--trace`` (``--hotspots`` for the
   phase-decomposition profiler view);
-* ``watch <run_dir>`` -- live terminal view of a journaled run in
-  flight, tailing its journal and trace tee;
 * ``bench diff <A> <B>`` -- the noise-aware ``BENCH_*.json`` regression
   gate (see :mod:`repro.obs.benchcmp`).
 
@@ -33,9 +31,8 @@ compiler-style diagnostic, before any solver query (disable with
 
 Every solving subcommand accepts the observability flags ``--trace FILE``
 (JSONL span trace), ``--metrics FILE`` (JSON metrics snapshot),
-``--metrics-port PORT`` (live Prometheus-style HTTP endpoint while the
-run is in flight), and ``--progress`` (live span echo on stderr); see
-:mod:`repro.obs`.  Query
+``--stats`` (a summary of the same registry, printed at exit), and
+``--progress`` (live span echo on stderr); see :mod:`repro.obs`.  Query
 caching is controlled with ``--persist-cache`` / ``--cache-dir DIR``
 (disk-backed cache shared across runs; see :mod:`repro.solver.cache`) and
 ``--no-cache``.
@@ -69,24 +66,10 @@ from .recovery import (
 )
 from .recovery.journal import JOURNAL_NAME
 from .solver.budget import Budget, resolve_budget
-from .solver.cache import query_cache
-from .solver.stats import SolverStats
 
 #: Exit code for UNKNOWN outcomes (budget exhausted), distinct from
 #: 0 = verified and 1 = violation/not-inductive.
 EXIT_UNKNOWN = 2
-
-
-def _stats_of(args: argparse.Namespace) -> SolverStats | None:
-    """A SolverStats collector when ``--stats`` was passed, else None."""
-    return SolverStats() if getattr(args, "stats", False) else None
-
-
-def _print_stats(stats: SolverStats | None) -> None:
-    if stats is not None:
-        stats.note_cache(query_cache())
-        print()
-        print(stats.format())
 
 
 def _apply_cache_flags(args: argparse.Namespace) -> None:
@@ -131,20 +114,22 @@ def _budget_of(args: argparse.Namespace) -> Budget | None:
     )
 
 
-def _journal_config(args: argparse.Namespace) -> tuple[str, str] | None:
-    """``(run_dir, target)`` when this run journals, else None.
+def _open_journal(
+    args: argparse.Namespace, argv: list[str]
+) -> tuple[Journal | None, str | None]:
+    """Open this run's write-ahead journal, honoring the recovery flags.
 
-    Factored out of :func:`_open_journal` so :func:`_install_obs` can
-    learn the run directory *before* the journal opens -- the trace tee
-    (``run_dir/trace.jsonl``, what ``repro watch`` tails) must be
-    installed before any spans fire.  Journaling turns on with
-    ``--run-dir``, ``--resume``, or ``REPRO_JOURNAL=1``; the run
-    directory defaults to the deterministic
-    :func:`~repro.recovery.resume.default_run_dir`, so a bare
-    ``--resume`` lands on the directory the killed run wrote to.
+    Returns ``(journal, run_dir)`` -- both None for subcommands without
+    recovery options or when journaling is off.  Journaling turns on with
+    ``--run-dir``, ``--resume``, or ``REPRO_JOURNAL=1``; the run directory
+    defaults to the deterministic
+    :func:`~repro.recovery.resume.default_run_dir`, so a bare ``--resume``
+    lands on the directory the killed run wrote to.  The journal is
+    registered as the process-wide active journal (flushed by the signal
+    path) and closed by :func:`main`'s teardown.
     """
     if not hasattr(args, "resume"):
-        return None
+        return None, None
     target = (
         getattr(args, "protocol", None)
         or getattr(args, "target", None)
@@ -157,24 +142,8 @@ def _journal_config(args: argparse.Namespace) -> tuple[str, str] | None:
         or os.environ.get("REPRO_JOURNAL", "").strip() in ("1", "true", "yes")
     )
     if not enabled:
-        return None
-    return args.run_dir or default_run_dir(args.command, target), target
-
-
-def _open_journal(
-    args: argparse.Namespace, argv: list[str]
-) -> tuple[Journal | None, str | None]:
-    """Open this run's write-ahead journal, honoring the recovery flags.
-
-    Returns ``(journal, run_dir)`` -- both None for subcommands without
-    recovery options or when journaling is off.  The journal is
-    registered as the process-wide active journal (flushed by the signal
-    path) and closed by :func:`main`'s teardown.
-    """
-    config = _journal_config(args)
-    if config is None:
         return None, None
-    run_dir, target = config
+    run_dir = args.run_dir or default_run_dir(args.command, target)
     path = os.path.join(run_dir, JOURNAL_NAME)
     if args.resume and os.path.exists(path):
         journal = Journal.resume(path)
@@ -296,27 +265,23 @@ def cmd_bmc(args: argparse.Namespace) -> int:
         program = program.without_axiom(args.drop_axiom)
     if not _preflight(args, program, bundle.safety, origin=args.protocol):
         return EXIT_UNKNOWN
-    stats = _stats_of(args)
     budget = _budget_of(args)
     start = time.time()
     result = find_error_trace(
-        program, args.bound, jobs=args.jobs, stats=stats, budget=budget,
+        program, args.bound, jobs=args.jobs, budget=budget,
         journal=active_journal(),
     )
     elapsed = time.time() - start
     if result.holds:
         print(f"no assertion violation within {args.bound} iterations "
               f"({elapsed:.1f}s)")
-        _print_stats(stats)
         return 0
     if result.unknown:
         _report_unknown(result, args.bound)
-        _print_stats(stats)
         return EXIT_UNKNOWN
     print(f"assertion violation at depth {result.depth} ({elapsed:.1f}s):")
     print()
     print(result.trace)
-    _print_stats(stats)
     return 1
 
 
@@ -327,11 +292,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         origin=args.protocol,
     ):
         return EXIT_UNKNOWN
-    stats = _stats_of(args)
     budget = _budget_of(args)
     start = time.time()
     result = check_inductive(
-        bundle.program, list(bundle.invariant), jobs=args.jobs, stats=stats,
+        bundle.program, list(bundle.invariant), jobs=args.jobs,
         budget=budget, journal=active_journal(),
     )
     elapsed = time.time() - start
@@ -349,7 +313,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     if not result.holds and result.cti is not None:
         print()
         print(result.cti)
-    _print_stats(stats)
     if inconclusive:
         return EXIT_UNKNOWN
     return 0 if result.holds else 1
@@ -407,40 +370,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_UNKNOWN
     print(f"parsed {program.name!r}: {len(program.vocab.sorts)} sorts, "
           f"{len(program.vocab.relations)} relations")
-    stats = _stats_of(args)
     budget = _budget_of(args)
     result = find_error_trace(
-        program, args.bound, jobs=args.jobs, stats=stats, budget=budget,
+        program, args.bound, jobs=args.jobs, budget=budget,
         journal=active_journal(),
     )
     if result.trace is not None:
         print(f"assertion violation at depth {result.depth}:")
         print(result.trace)
-        _print_stats(stats)
         return 1
     if result.unknown:
         _report_unknown(result, args.bound)
-        _print_stats(stats)
         return EXIT_UNKNOWN
     print(f"no assertion violation within {args.bound} iterations")
     if conjectures:
         check = check_inductive(
-            program, conjectures, jobs=args.jobs, stats=stats, budget=budget,
+            program, conjectures, jobs=args.jobs, budget=budget,
             journal=active_journal(),
         )
         if check.unknown_obligations and check.cti is None:
             print(f"conjunction of {len(conjectures)} conjectures inductive: "
                   "unknown (budget exhausted on: "
                   + ", ".join(check.unknown_obligations) + ")")
-            _print_stats(stats)
             return EXIT_UNKNOWN
         print(f"conjunction of {len(conjectures)} conjectures inductive: "
               f"{check.holds}")
         if not check.holds and check.cti is not None:
             print(check.cti)
-        _print_stats(stats)
         return 0 if check.holds else 1
-    _print_stats(stats)
     return 0
 
 
@@ -724,11 +681,10 @@ def cmd_prove(args: argparse.Namespace) -> int:
                       source=source):
         return EXIT_UNKNOWN
     ledger = _ledger_of(args)
-    stats = _stats_of(args)
     budget = _budget_of(args)
     start = time.time()
     report = prove(
-        plan, jobs=args.jobs, stats=stats, budget=budget, ledger=ledger,
+        plan, jobs=args.jobs, budget=budget, ledger=ledger,
         journal=active_journal(),
     )
     elapsed = time.time() - start
@@ -775,7 +731,6 @@ def cmd_prove(args: argparse.Namespace) -> int:
                 print(f"  {description}")
         else:
             print(f"{report.program}: all proof obligations discharged")
-    _print_stats(stats)
     if report.cti is not None:
         return 1
     return 0 if report.ok else EXIT_UNKNOWN
@@ -874,12 +829,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_watch(args: argparse.Namespace) -> int:
-    return obs.watch.watch(
-        args.run_dir, interval=args.interval, once=args.once
-    )
-
-
 def cmd_bench_diff(args: argparse.Namespace) -> int:
     from .obs.benchcmp import DEFAULT_FLOOR_S, DEFAULT_MAX_RATIO
 
@@ -910,12 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.add_argument(
             "--metrics", default=None, metavar="FILE",
             help="write a JSON metrics snapshot (counters/histograms/rates)",
-        )
-        subparser.add_argument(
-            "--metrics-port", type=int, default=None, metavar="PORT",
-            help="serve live Prometheus-style metrics over HTTP on "
-                 "127.0.0.1:PORT while the run is in flight (0 picks a "
-                 "free port; default: REPRO_METRICS_PORT or off)",
         )
         subparser.add_argument(
             "--progress", action="store_true",
@@ -1145,23 +1088,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.set_defaults(func=cmd_report)
 
-    watch = commands.add_parser(
-        "watch", help="live terminal view of a journaled run in flight"
-    )
-    watch.add_argument(
-        "run_dir", metavar="RUN_DIR",
-        help="run directory of the run to monitor (see ls .repro-runs)",
-    )
-    watch.add_argument(
-        "--interval", type=float, default=2.0, metavar="SECONDS",
-        help="refresh period (default: 2s)",
-    )
-    watch.add_argument(
-        "--once", action="store_true",
-        help="print one snapshot and exit instead of polling",
-    )
-    watch.set_defaults(func=cmd_watch)
-
     bench = commands.add_parser(
         "bench", help="benchmark telemetry tooling (BENCH_*.json)"
     )
@@ -1198,72 +1124,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _metrics_port(args: argparse.Namespace) -> int | None:
-    """The exporter port: ``--metrics-port``, else ``REPRO_METRICS_PORT``."""
-    port = getattr(args, "metrics_port", None)
-    if port is not None:
-        return port
-    env = os.environ.get("REPRO_METRICS_PORT", "").strip()
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            print(
-                f"ignoring REPRO_METRICS_PORT={env!r}: expected an integer",
-                file=sys.stderr,
-            )
-    return None
-
-
 def _install_obs(args: argparse.Namespace, argv: list[str]):
-    """Install tracer/metrics/exporter from the CLI flags; returns teardown.
+    """Install tracer/metrics from the CLI flags; returns teardown.
 
-    The teardown uninstalls every layer, stops the exporter, closes the
-    trace file, and dumps the metrics snapshot -- it runs in ``main``'s
-    finally block so traces and metrics survive crashed runs too.
-
-    A journaled run without an explicit ``--trace`` gets its trace
-    **teed into the run directory** (``run_dir/trace.jsonl``): that is
-    the live feed ``repro watch RUN_DIR`` tails for query verdicts,
-    cache/ledger hit rates, and dispatch faults.
+    ``--metrics FILE`` and ``--stats`` both install a metrics registry.
+    The teardown uninstalls every layer, closes the trace file, dumps the
+    metrics snapshot and prints the ``--stats`` summary -- it runs in
+    ``main``'s finally block so traces and metrics survive crashed runs
+    too.
     """
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics", None)
+    stats = getattr(args, "stats", False)
     progress = getattr(args, "progress", False)
-    if not trace_path:
-        config = _journal_config(args)
-        if config is not None:
-            run_dir, _target = config
-            os.makedirs(run_dir, exist_ok=True)
-            trace_path = os.path.join(run_dir, "trace.jsonl")
     trace_file = open(trace_path, "w") if trace_path else None
     if trace_file is not None or progress:
         tracer = obs.Tracer(sink=trace_file, progress=progress)
         obs.install_tracer(tracer)
         tracer.emit_header(argv)
-    port = _metrics_port(args)
     registry: obs.MetricsRegistry | None = None
-    if metrics_path or port is not None:
-        # A live endpoint needs a registry even without --metrics FILE.
+    if metrics_path or stats:
         registry = obs.MetricsRegistry()
         obs.install_metrics(registry)
-    server: obs.MetricsServer | None = None
-    if port is not None:
-        server = obs.MetricsServer(port=port)
-        try:
-            server.start()
-        except OSError as error:
-            print(
-                f"cannot start the metrics exporter on port {port}: {error}",
-                file=sys.stderr,
-            )
-            server = None
-        else:
-            print(f"metrics exporter: {server.url}", file=sys.stderr)
 
     def teardown() -> None:
-        if server is not None:
-            server.stop()
         obs.install_tracer(None)
         obs.install_metrics(None)
         if trace_file is not None:
@@ -1272,6 +1156,9 @@ def _install_obs(args: argparse.Namespace, argv: list[str]):
             with open(metrics_path, "w") as handle:
                 json.dump(registry.to_dict(), handle, indent=2, sort_keys=True)
                 handle.write("\n")
+        if registry is not None and stats:
+            print()
+            print(registry.format_stats())
 
     return teardown
 

@@ -29,7 +29,6 @@ from ..rml.encode import Env, StepEncoding, TransitionEncoder, project_state
 from ..solver.budget import Budget, FailureReason
 from ..solver.dispatch import query_of, resolve_jobs, solve_queries
 from ..solver.epr import EprResult, EprSolver
-from ..solver.stats import SolverStats
 from .trace import Trace
 
 
@@ -157,7 +156,6 @@ def check_k_invariance(
     k: int,
     unroller: _Unroller | None = None,
     jobs: int | None = None,
-    stats: SolverStats | None = None,
     budget: Budget | None = None,
     journal=None,
 ) -> BoundedResult:
@@ -206,7 +204,7 @@ def check_k_invariance(
                 solver.add(goal, name="goal")
                 queries.append(query_of(solver, name=f"depth{depth}"))
             with obs.span("bmc.dispatch", queries=len(queries)):
-                batches = solve_queries(queries, jobs=jobs, stats=stats)
+                batches = solve_queries(queries, jobs=jobs)
             solved = dict(zip(depths, (result for (result,) in batches)))
             if journal is not None:
                 for depth in depths:
@@ -227,7 +225,6 @@ def check_k_invariance(
                 with obs.span("bmc.depth", depth=depth) as depth_span:
                     result = solver.check()
                     depth_span.set(verdict=result.verdict)
-                _record(stats, result)
                 if journal is not None and result.is_unsat:
                     journal.append("bmc.depth", keys[depth], verdict="unsat")
                 results.append(result)
@@ -258,7 +255,6 @@ def find_error_trace(
     program: Program,
     k: int,
     jobs: int | None = None,
-    stats: SolverStats | None = None,
     budget: Budget | None = None,
     journal=None,
 ) -> BoundedResult:
@@ -319,7 +315,7 @@ def find_error_trace(
                 query_of(solver, name=f"abort{index}") for index, solver in live
             ]
             with obs.span("bmc.dispatch", queries=len(queries)):
-                batches = solve_queries(queries, jobs=jobs, stats=stats)
+                batches = solve_queries(queries, jobs=jobs)
             solved = dict(
                 zip((index for index, _ in live), (result for (result,) in batches))
             )
@@ -342,7 +338,6 @@ def find_error_trace(
                 with obs.span("bmc.probe", depth=depth) as probe_span:
                     result = solver.check()
                     probe_span.set(verdict=result.verdict)
-                _record(stats, result)
                 if journal is not None and result.is_unsat:
                     journal.append("bmc.probe", key, verdict="unsat")
                 results.append(result)
@@ -381,9 +376,3 @@ _engine_metrics = obs.count_engine_queries
 def _accumulate(into: dict[str, int], new: dict[str, int]) -> None:
     for key, value in new.items():
         into[key] = into.get(key, 0) + value
-
-
-def _record(stats: SolverStats | None, result: EprResult) -> None:
-    """Fold one in-process solver result into an optional SolverStats."""
-    if stats is not None:
-        stats.record_result(result)

@@ -37,7 +37,6 @@ from ..logic.sorts import FuncDecl, RelDecl
 from ..rml.ast import Program
 from ..solver.dispatch import query_of, resolve_jobs, solve_queries
 from ..solver.epr import EprResult, EprSolver, PreparedEpr
-from ..solver.stats import SolverStats
 from .bounded import _Unroller, make_unroller
 from .trace import Trace
 
@@ -132,7 +131,6 @@ def check_unreachable(
     k: int,
     unroller: _Unroller | None = None,
     jobs: int | None = None,
-    stats: SolverStats | None = None,
 ) -> ReachabilityResult:
     """Is ``phi(partial)`` k-invariant?  (Eq. 3 applied to the conjecture.)
 
@@ -159,7 +157,7 @@ def check_unreachable(
             query_of(loaded_solver(depth), name=f"diag{depth}")
             for depth in range(k + 1)
         ]
-        batches = solve_queries(queries, jobs=jobs, stats=stats)
+        batches = solve_queries(queries, jobs=jobs)
         for depth, (result,) in enumerate(batches):
             _accumulate(statistics, result.statistics)
             if result.satisfiable:
@@ -170,12 +168,6 @@ def check_unreachable(
     for depth in range(k + 1):
         result = loaded_solver(depth).check()
         _accumulate(statistics, result.statistics)
-        if stats is not None:
-            stats.record(
-                result.statistics,
-                satisfiable=result.satisfiable,
-                cached="cache_hits" in result.statistics,
-            )
         if result.satisfiable:
             trace = unroller.trace_from(result, depth, aborted=False)
             return ReachabilityResult(False, k, trace, depth, statistics)

@@ -36,7 +36,6 @@ from ..rml.wp import wp
 from ..solver.budget import Budget
 from ..solver.dispatch import query_of, resolve_jobs, solve_queries
 from ..solver.epr import EprSolver
-from ..solver.stats import SolverStats
 from .induction import Conjecture, ledger_proven, ledger_record_set
 
 
@@ -83,7 +82,6 @@ def _batched_failures(
     premises: s.Formula,
     statistics: dict[str, int],
     jobs: int | None = None,
-    stats: SolverStats | None = None,
     budget: Budget | None = None,
 ) -> tuple[set[str], set[str]]:
     """Candidates whose ``premises => wp(command, c)`` fails or is unknown.
@@ -110,7 +108,7 @@ def _batched_failures(
             for index, chunk in enumerate(chunks)
         ]
         with obs.span("houdini.dispatch", chunks=len(queries)):
-            batches = solve_queries(queries, jobs=jobs, stats=stats)
+            batches = solve_queries(queries, jobs=jobs)
         for chunk, batch in zip(chunks, batches):
             for candidate, result in zip(chunk, batch):
                 _accumulate(statistics, result.statistics)
@@ -137,8 +135,6 @@ def _batched_failures(
         result = prepared.solve({candidate.name})
         results.append(result)
         _accumulate(statistics, result.statistics)
-        if stats is not None:
-            stats.record_result(result)
         if result.unknown:
             unknown.add(candidate.name)
         elif result.satisfiable:
@@ -171,7 +167,6 @@ def houdini(
     candidates: Sequence[Conjecture],
     max_rounds: int = 1000,
     jobs: int | None = None,
-    stats: SolverStats | None = None,
     budget: Budget | None = None,
     ledger=None,
     journal=None,
@@ -225,7 +220,7 @@ def houdini(
             with obs.span("houdini.initiation", candidates=len(candidates)):
                 failing_init, unknown_init = _batched_failures(
                     program, candidates, program.init, s.TRUE, statistics,
-                    jobs, stats, budget,
+                    jobs, budget,
                 )
             if journal is not None:
                 journal.append(
@@ -263,7 +258,7 @@ def houdini(
                 ) as round_span:
                     failing, unknown = _batched_failures(
                         program, surviving, program.body, invariant,
-                        statistics, jobs, stats, budget,
+                        statistics, jobs, budget,
                     )
                     round_span.set(failing=len(failing), unknown=len(unknown))
                 if journal is not None:

@@ -35,7 +35,6 @@ from ..rml.wp import wp
 from ..solver.budget import Budget
 from ..solver.dispatch import query_of, resolve_jobs, solve_queries
 from ..solver.epr import EprResult, EprSolver
-from ..solver.stats import SolverStats
 
 ObligationKind = Literal["initiation", "safety", "consecution"]
 
@@ -447,7 +446,6 @@ def check_inductive(
     program: Program,
     conjectures: Sequence[Conjecture],
     jobs: int | None = None,
-    stats: SolverStats | None = None,
     budget: Budget | None = None,
     lemmas: Sequence[Conjecture] = (),
     ledger=None,
@@ -509,7 +507,7 @@ def check_inductive(
                 queries.append(query_of(solver, name=obligation.description))
             started = time.monotonic()
             with obs.span("induction.dispatch", queries=len(queries)):
-                batches = solve_queries(queries, jobs=jobs, stats=stats)
+                batches = solve_queries(queries, jobs=jobs)
             batch_ms = (time.monotonic() - started) * 1000 / max(len(queries), 1)
             obs.count_engine_queries(
                 "induction", [result for (result,) in batches]
@@ -552,8 +550,6 @@ def check_inductive(
             results.append(result)
             for key, value in result.statistics.items():
                 statistics[key] = statistics.get(key, 0) + value
-            if stats is not None:
-                stats.record_result(result)
             if result.unknown:
                 unknown.append(obligation.description)
             elif result.satisfiable:

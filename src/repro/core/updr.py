@@ -45,7 +45,6 @@ from ..rml.wp import wp, wp_body_safe, wp_final_safe
 from ..solver.budget import Budget, FailureReason
 from ..solver.dispatch import query_of, resolve_jobs, solve_queries
 from ..solver.epr import EprSolver
-from ..solver.stats import SolverStats
 from .bounded import make_unroller
 from .generalize import _diagram_parts
 from .induction import Conjecture, check_inductive
@@ -100,7 +99,6 @@ class _Updr:
         max_frames: int,
         max_obligations: int,
         jobs: int | None = None,
-        stats: SolverStats | None = None,
         budget: Budget | None = None,
         ledger=None,
         journal=None,
@@ -109,7 +107,6 @@ class _Updr:
         self.max_frames = max_frames
         self.max_obligations = max_obligations
         self.jobs = jobs
-        self.solver_stats = stats
         self.budget = budget
         self.ledger = ledger
         self.axioms = program.axiom_formula
@@ -218,8 +215,6 @@ class _Updr:
         for key, value in result.statistics.items():
             if key in ("instances", "conflicts"):
                 self.statistics[key] = self.statistics.get(key, 0) + value
-        if self.solver_stats is not None:
-            self.solver_stats.record_result(result)
         obs.count_engine_queries("updr", (result,))
 
     # ------------------------------------------------------------- checks
@@ -468,9 +463,7 @@ class _Updr:
             for position, partial in enumerate(partials)
         ]
         with obs.span("updr.push", frame=index, candidates=len(partials)):
-            batches = solve_queries(
-                queries, jobs=self.jobs, stats=self.solver_stats
-            )
+            batches = solve_queries(queries, jobs=self.jobs)
         for (result,) in batches:
             self.statistics["solver_calls"] += 1
             for key, value in result.statistics.items():
@@ -507,7 +500,6 @@ def updr(
     max_frames: int = 12,
     max_obligations: int = 400,
     jobs: int | None = None,
-    stats: SolverStats | None = None,
     budget: Budget | None = None,
     max_restarts: int = 2,
     ledger=None,
@@ -538,7 +530,7 @@ def updr(
     with profile.engine("updr"), obs.span("updr", max_frames=max_frames) as sp:
         while True:
             engine = _Updr(
-                program, max_frames, max_obligations, jobs, stats,
+                program, max_frames, max_obligations, jobs,
                 attempt_budget, ledger, journal,
             )
             try:

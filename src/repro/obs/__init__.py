@@ -1,4 +1,4 @@
-"""Observability: tracing, metrics, profiling, live monitoring, reporting.
+"""Observability: tracing, metrics, profiling, reporting.
 
 The layers, all zero-dependency:
 
@@ -8,14 +8,11 @@ The layers, all zero-dependency:
 * :mod:`repro.obs.metrics` -- a counters/gauges/histograms registry the
   solver layers publish into (query latency, verdicts, cache and fault
   counters, per-engine unknown rates), with worker-delta merging and
-  bucket-interpolated p50/p95/p99 (off by default);
+  bucket-interpolated p50/p95/p99 (off by default); ``--stats`` prints
+  its :meth:`~repro.obs.metrics.MetricsRegistry.format_stats` summary;
 * :mod:`repro.obs.profile` -- per-phase wall/CPU timers decomposing
   every query's latency into grounding, CNF build, CDCL search, theory,
-  cache, and transit time (on by default; ``REPRO_PROFILE=0`` disables);
-* :mod:`repro.obs.exporter` -- a Prometheus-style ``/metrics`` HTTP
-  endpoint over the live registry (``--metrics-port``);
-* :mod:`repro.obs.watch` -- the ``repro watch RUN_DIR`` terminal view,
-  tailing a run's journal and trace tee;
+  cache, and transit time (always on);
 * :mod:`repro.obs.report` -- offline rendering of a trace into the
   per-protocol / per-phase / per-query breakdown (``repro report``) and
   the phase-decomposition hotspot view (``--hotspots``);
@@ -26,11 +23,10 @@ Engines and solvers instrument through the guarded helpers re-exported
 here (``obs.span``, ``obs.point``, ``obs.inc``, ``obs.observe``): with no
 tracer or registry installed each call is a single global read, so
 untraced runs pay effectively nothing.  The CLI installs the layers from
-``--trace`` / ``--metrics`` / ``--metrics-port`` / ``--progress``.
+``--trace`` / ``--metrics`` / ``--stats`` / ``--progress``.
 """
 
-from . import benchcmp, exporter, profile, watch
-from .exporter import MetricsServer, render_exposition
+from . import benchcmp, profile
 from .metrics import (
     Counter,
     Gauge,
@@ -80,7 +76,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsServer",
     "QUERY_SPAN",
     "SCHEMA_VERSION",
     "Span",
@@ -98,7 +93,6 @@ __all__ = [
     "enabled",
     "enter_worker",
     "exit_worker",
-    "exporter",
     "finish_span",
     "forward_events",
     "inc",
@@ -110,11 +104,9 @@ __all__ = [
     "observe",
     "point",
     "profile",
-    "render_exposition",
     "render_hotspots",
     "render_report",
     "set_gauge",
     "span",
     "tree_depth",
-    "watch",
 ]

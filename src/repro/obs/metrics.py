@@ -1,35 +1,38 @@
 """A process-local metrics registry: counters, gauges, histograms.
 
-Subsumes the ad-hoc counters that used to live only inside
-:class:`~repro.solver.stats.SolverStats`: the solver and engine layers
+The one place solver work is counted.  The solver and engine layers
 publish into the registry unconditionally through the guarded module
 helpers (:func:`inc`, :func:`observe`, :func:`set_gauge`), which are
 single-global-read no-ops until a registry is installed -- exactly the
-same off-by-default contract as :mod:`repro.obs.tracer`.  ``SolverStats``
-keeps its public API and is still what ``--stats`` prints; the registry
-is the machine-readable superset behind ``--metrics FILE``.
+same off-by-default contract as :mod:`repro.obs.tracer`.  The CLI
+installs one for ``--metrics FILE`` (the JSON snapshot) and for
+``--stats`` (the :func:`format_stats` summary).
 
 Metrics are identified by a name plus optional labels, rendered
 Prometheus-style (``queries_total{verdict=sat}``) in the JSON snapshot.
 Key series:
 
-* ``queries_total{verdict=...}`` -- every EPR solve, by verdict;
+* ``queries_total{verdict=...}`` -- every answer, by verdict: each EPR
+  solve, each cache hit, and each UNKNOWN given up before a solve ran;
 * ``cache_hits_total`` / ``cache_misses_total`` / ``cache_evictions_total``;
+* ``solver_work_total{counter=...}`` -- summed engine counters of the
+  solves (instances, conflicts, decisions, ...);
 * ``query_latency_ms`` -- histogram over actual (non-cached) solves;
+* ``query_phase_ms{phase=...}`` -- per-phase wall time (:mod:`.profile`);
 * ``grounded_instances`` -- histogram over per-query grounding sizes;
 * ``dispatched_total``, ``worker_crashes_total``, ``worker_kills_total``,
-  ``dispatch_retries_total``, ``serial_fallbacks_total``;
+  ``worker_wedged_total``, ``dispatch_retries_total``,
+  ``serial_fallbacks_total``;
 * ``engine_queries_total{engine=...}`` / ``engine_unknown_total{engine=...}``
   -- per-engine query volume and budget-exhaustion counts, from which
-  :meth:`MetricsRegistry.to_dict` derives the per-engine unknown rate;
-* ``phase_seconds{phase=...}`` -- histogram fed by ``SolverStats.phase``.
+  :meth:`MetricsRegistry.to_dict` derives the per-engine unknown rate.
 
 Like the tracer, the registry is per-process: dispatch workers fork with
 a copy, so each worker publishes into a *fresh per-task registry* and
 ships its :meth:`MetricsRegistry.to_dict` delta back over the result
 pipe; the parent folds it in with :meth:`MetricsRegistry.merge`
-(:mod:`repro.solver.dispatch`), keeping parent-side totals -- and the
-live :mod:`repro.obs.exporter` endpoint -- complete across the pool.
+(:mod:`repro.solver.dispatch`), keeping parent-side totals complete
+across the pool.
 """
 
 from __future__ import annotations
@@ -43,6 +46,13 @@ from typing import Mapping
 DEFAULT_BUCKETS = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 50, 100, 500,
     1_000, 5_000, 10_000, 50_000, 100_000, 1_000_000,
+)
+
+#: the engine counters of a solve, published as
+#: ``solver_work_total{counter=...}`` by :mod:`repro.solver.epr`
+WORK_COUNTERS = (
+    "instances", "conflicts", "decisions", "propagations", "restarts",
+    "sat_vars", "cegar_rounds", "congruence_clauses", "lazy_instances",
 )
 
 
@@ -259,8 +269,8 @@ class MetricsRegistry:
 
         This is how pool-worker metrics reach the parent: each worker
         publishes into a fresh per-task registry and ships its
-        ``to_dict()`` back with the result; the parent merges, so the
-        exporter endpoint reflects the whole pool.  Counters and
+        ``to_dict()`` back with the result; the parent merges, so its
+        totals cover the whole pool.  Counters and
         histogram contents add; gauges last-write-win (workers rarely
         set them).  ``derived`` rates are recomputed from the merged
         counters at the next :meth:`to_dict`, never merged.
@@ -299,6 +309,58 @@ class MetricsRegistry:
             },
             "derived": derived,
         }
+
+    def format_stats(self) -> str:
+        """The human-readable summary ``--stats`` prints at teardown."""
+        snapshot = self.to_dict()
+        counters = snapshot["counters"]
+
+        def count(key: str) -> int:
+            return counters.get(key, 0)
+
+        sat, unsat, unknown = (
+            count(f"queries_total{{verdict={v}}}")
+            for v in ("sat", "unsat", "unknown")
+        )
+        hits, misses = count("cache_hits_total"), count("cache_misses_total")
+        verdicts = f"sat {sat}, unsat {unsat}"
+        if unknown:
+            verdicts += f", unknown {unknown}"
+        rate = snapshot["derived"].get("cache_hit_rate", 0.0)
+        cache = f"{hits} hits / {misses} misses ({rate:.0%} hit rate)"
+        if count("cache_evictions_total"):
+            cache += f", {count('cache_evictions_total')} evictions"
+        lines = [
+            "solver statistics:",
+            f"  queries        {sat + unsat + unknown} ({verdicts})",
+            f"  cache          {cache}",
+            f"  dispatched     {count('dispatched_total')} to worker processes",
+        ]
+        faults = [
+            count(f"{name}_total")
+            for name in (
+                "worker_crashes", "worker_kills", "worker_wedged",
+                "dispatch_retries", "serial_fallbacks",
+            )
+        ]
+        if any(faults):
+            lines.append(
+                "  faults         {} crashes, {} kills, {} wedged, "
+                "{} retries, {} serial fallbacks".format(*faults)
+            )
+        if any(key.startswith("solver_work_total{") for key in counters):
+            for name in sorted(WORK_COUNTERS):
+                value = count(f"solver_work_total{{counter={name}}}")
+                lines.append(f"  {name:14s} {value}")
+        phase_ms: dict[str, float] = {}
+        for key, histogram in snapshot["histograms"].items():
+            name, labels = parse_key(key)
+            if name == "query_phase_ms":
+                phase = labels["phase"]
+                phase_ms[phase] = phase_ms.get(phase, 0.0) + histogram["sum"]
+        for phase in sorted(phase_ms):
+            lines.append(f"  [{phase}] {phase_ms[phase]:.1f} ms")
+        return "\n".join(lines)
 
 
 #: the installed registry; ``None`` (the default) disables metrics entirely.

@@ -15,12 +15,10 @@ named stages a query's wall time actually goes to:
   the dispatch parent (:mod:`..solver.dispatch`) as observed round-trip
   minus worker-reported wall.
 
-The machinery mirrors the tracer/metrics contract: timers are guarded by
-a module flag (default **on**; ``REPRO_PROFILE=0`` or
-:func:`set_profiling` turns them off) and each :func:`phase` block costs
-two ``perf_counter`` + two ``thread_time`` reads -- coarse placement (one
-block per CDCL call, per grounding, per instantiation loop) keeps the
-overhead under the 5% budget the dispatch benchmark pins.
+The timers are always on: each :func:`phase` block costs two
+``perf_counter`` + two ``thread_time`` reads, and coarse placement (one
+block per CDCL call, per grounding, per instantiation loop) keeps that
+overhead to a few percent of a serial BMC run.
 
 Collection has two modes:
 
@@ -28,9 +26,9 @@ Collection has two modes:
   ``PreparedEpr.solve`` each open one), phases accumulate into a
   :class:`PhaseProfile` that the scope owner attaches to its trace span
   (``phase_<name>_ms`` attributes), to the result ``statistics`` (so
-  :class:`~repro.solver.stats.SolverStats` and the benchmark telemetry
-  aggregate them for free), and to the ``query_phase_ms{phase=...}``
-  metrics histogram;
+  per-query consumers such as the benchmark suite see them), and to the
+  ``query_phase_ms{phase=...}`` metrics histogram (whose sums ``--stats``
+  prints);
 * outside any scope (e.g. the ledger split, which runs at the engine
   layer rather than inside a query), a finished phase publishes straight
   to the metrics histogram.
@@ -48,7 +46,6 @@ label; dispatch ships the tag to pool workers with each task.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -69,30 +66,10 @@ PHASES = (
 ATTR_PREFIX = "phase_"
 
 
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_PROFILE", "").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
-
-
-_enabled = _env_enabled()
-
 _active: ContextVar["PhaseProfile | None"] = ContextVar(
     "repro_profile", default=None
 )
 _engine: ContextVar[str | None] = ContextVar("repro_profile_engine", default=None)
-
-
-def profiling_enabled() -> bool:
-    return _enabled
-
-
-def set_profiling(on: bool) -> bool:
-    """Turn the phase timers on/off; returns the previous setting."""
-    global _enabled
-    old = _enabled
-    _enabled = bool(on)
-    return old
 
 
 class PhaseProfile:
@@ -131,10 +108,7 @@ class PhaseProfile:
 
 @contextmanager
 def collect():
-    """Open a collection scope; yields the profile (None when disabled)."""
-    if not _enabled:
-        yield None
-        return
+    """Open a collection scope; yields its profile."""
     profile = PhaseProfile()
     token = _active.set(profile)
     try:
@@ -146,9 +120,6 @@ def collect():
 @contextmanager
 def phase(name: str):
     """Time one disjoint phase of the active scope (or publish directly)."""
-    if not _enabled:
-        yield
-        return
     profile = _active.get()
     wall0 = time.perf_counter()
     cpu0 = time.thread_time()
@@ -190,9 +161,9 @@ def _observe_phase(name: str, wall_s: float) -> None:
     _observe("query_phase_ms", wall_s * 1000, **labels)
 
 
-def publish(profile: PhaseProfile | None) -> None:
+def publish(profile: PhaseProfile) -> None:
     """Feed a finished scope's phases into ``query_phase_ms{phase=...}``."""
-    if profile is None or not _metrics_enabled():
+    if not _metrics_enabled():
         return
     for name, wall in profile.wall.items():
         _observe_phase(name, wall)

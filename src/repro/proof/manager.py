@@ -42,7 +42,6 @@ from ..rml.ast import Program, ProofDecl, without_aborts
 from ..solver.budget import Budget
 from ..solver.dispatch import query_of, resolve_jobs, solve_queries
 from ..solver.epr import EprSolver
-from ..solver.stats import SolverStats
 from .dag import CycleError, ProofDag, build_dag, provers_of
 from .ledger import (
     Ledger,
@@ -228,7 +227,6 @@ def _safety_obligations(plan: ProofPlan) -> list[Obligation]:
 def prove(
     plan: ProofPlan,
     jobs: int | None = None,
-    stats: SolverStats | None = None,
     budget: Budget | None = None,
     ledger: Ledger | None = None,
     engine: str = "prove",
@@ -334,9 +332,7 @@ def prove(
             with obs.span("prove.dispatch", queries=len(batch)):
                 results = [
                     result
-                    for (result,) in solve_queries(
-                        batch, jobs=jobs, stats=stats
-                    )
+                    for (result,) in solve_queries(batch, jobs=jobs)
                 ]
             obs.count_engine_queries(engine, results)
         else:
@@ -345,8 +341,6 @@ def prove(
                 result = check_obligation(
                     program, item.obligation, budget=budget
                 )
-                if stats is not None:
-                    stats.record_result(result)
                 results.append(result)
             obs.count_engine_queries(engine, results)
         wall_ms = (time.monotonic() - started) * 1000 / len(solve)

@@ -35,7 +35,6 @@ from .grounding import (
     universe_size,
 )
 from .sat import SatResult, Solver
-from .stats import SolverStats
 
 __all__ = [
     "Budget",
@@ -53,7 +52,6 @@ __all__ = [
     "QueryCache",
     "SatResult",
     "Solver",
-    "SolverStats",
     "check_universe_closed",
     "ground_universe",
     "install_cache",

@@ -57,6 +57,7 @@ import pickle
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Hashable
 
+from .. import obs
 from ..obs import profile
 from ..store import ShardedStore
 from .budget import _env_int
@@ -147,8 +148,8 @@ class DiskCache:
 class QueryCache:
     """A bounded LRU map from query keys to :class:`EprResult`.
 
-    ``hits``/``misses``/``evictions`` are surfaced through
-    :class:`~repro.solver.stats.SolverStats` (``--stats``).  With a
+    Every eviction is also published as ``cache_evictions_total`` in the
+    metrics registry (what ``--stats`` prints).  With a
     ``disk`` store attached, memory misses fetch through it (disk hits
     count as hits and are promoted into memory) and stores write through.
     """
@@ -204,6 +205,7 @@ class QueryCache:
         while len(self._entries) >= self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
+            obs.inc("cache_evictions_total")
         self._entries[key] = result
 
     @property

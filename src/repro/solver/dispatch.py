@@ -87,9 +87,8 @@ from ..recovery import heartbeat
 from . import cache as cache_mod
 from . import faults
 from .budget import Budget, BudgetExceeded, FailureReason, resolve_retries, warn_env
-from .epr import EprResult, EprSolver, unknown_result
+from .epr import EprResult, EprSolver, unanswered
 from .grounding import GroundingExplosion
-from .stats import SolverStats
 
 #: grace multiplier/offset over the cooperative wall budget before the
 #: parent declares a worker hung: solver rebuild + pickling happen inside
@@ -158,7 +157,7 @@ def query_of(
 
 
 def _unknown_batch(query: Query, reason: FailureReason) -> list[EprResult]:
-    return [unknown_result(reason) for _ in query.solve_sets]
+    return [unanswered(reason) for _ in query.solve_sets]
 
 
 def _run_query(query: Query) -> list[EprResult]:
@@ -193,7 +192,7 @@ def _run_query(query: Query) -> list[EprResult]:
             hit if hit is not None else prepared.solve(enabled)
             for hit, enabled in zip(hits, query.solve_sets)
         ]
-    return [hit if hit is not None else unknown_result(reason) for hit in hits]
+    return [hit if hit is not None else unanswered(reason) for hit in hits]
 
 
 def _fork_context() -> multiprocessing.context.BaseContext | None:
@@ -510,7 +509,6 @@ def _escalate(query: Query) -> Query:
 def solve_queries(
     queries: Sequence[Query],
     jobs: int | None = None,
-    stats: SolverStats | None = None,
     retries: int | None = None,
     fallback: bool = True,
 ) -> list[list[EprResult]]:
@@ -531,22 +529,16 @@ def solve_queries(
         for query in queries:
             with obs.span("query", name=query.name):
                 batches.append(_run_query(query))
-        if stats is not None:
-            for batch in batches:
-                for result in batch:
-                    stats.record_result(result, dispatched=False)
         return batches
-    batches = _solve_parallel(
-        list(queries), workers, context, stats, resolve_retries(retries), fallback
+    return _solve_parallel(
+        list(queries), workers, context, resolve_retries(retries), fallback
     )
-    return batches
 
 
 def _solve_parallel(
     queries: list[Query],
     workers: int,
     context,
-    stats: SolverStats | None,
     retries: int,
     fallback: bool,
 ) -> list[list[EprResult]]:
@@ -815,13 +807,8 @@ def _solve_parallel(
         ):
             if count:
                 obs.inc(name, count)
-        obs.inc("dispatched_total", sum(via_worker))
-    if stats is not None:
-        stats.retries += retry_count
-        stats.worker_kills += kill_count + wedged_count
-        stats.worker_crashes += crash_count
-        stats.serial_fallbacks += fallback_count
-        for index, batch in enumerate(batches):
-            for result in batch:
-                stats.record_result(result, dispatched=via_worker[index])
+        obs.inc(
+            "dispatched_total",
+            sum(len(batch) for batch, via in zip(batches, via_worker) if via),
+        )
     return batches  # type: ignore[return-value]

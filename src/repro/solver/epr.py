@@ -50,6 +50,7 @@ from typing import Iterable, Mapping
 
 from .. import obs
 from ..obs import profile
+from ..obs.metrics import WORK_COUNTERS
 from ..logic import syntax as s
 from ..logic.sorts import FuncDecl, RelDecl, Sort, Vocabulary
 from ..recovery import heartbeat
@@ -165,9 +166,8 @@ class EprResult:
     statistics: dict[str, int] = field(default_factory=dict)
     unknown: bool = False
     failure: FailureReason | None = None
-    #: answered from the query cache (the authoritative signal for stats
-    #: and metrics; ``statistics`` keeps its ``{"cache_hits": 1}`` shape
-    #: for compatibility but is no longer sniffed to detect hits)
+    #: answered from the query cache (``statistics`` is then
+    #: ``{"cache_hits": 1}``)
     cached: bool = False
 
     def __bool__(self) -> bool:
@@ -192,6 +192,18 @@ def unknown_result(
     return EprResult(
         False, unknown=True, failure=reason, statistics=statistics or {}
     )
+
+
+def unanswered(reason: FailureReason) -> EprResult:
+    """An UNKNOWN for a query that gave up before any solve ran.
+
+    Counted like every answer (``queries_total`` and a cache miss), since
+    :meth:`PreparedEpr.solve`, which counts the others, never saw it.
+    """
+    if obs.metrics_enabled():
+        obs.inc("queries_total", verdict="unknown")
+        obs.inc("cache_misses_total")
+    return unknown_result(reason)
 
 
 @dataclass(frozen=True)
@@ -351,13 +363,13 @@ class EprSolver:
                     prepared._digest = self._input_digest()
             prepared._missed, self._missed = self._missed, set()
             sp.set(instances=prepared.instance_count)
-            if prof is not None and prof.wall:
+            if prof.wall:
                 phases = prof.attrs_ms()
                 sp.set(**phases)
                 profile.publish(prof)
                 # Surfaced through the *first* solve's statistics so
-                # SolverStats / bench telemetry aggregate prepare phases
-                # exactly once per grounding.
+                # per-query consumers see prepare phases exactly once per
+                # grounding.
                 prepared._pending_phases = phases
             return prepared
 
@@ -479,9 +491,9 @@ class EprSolver:
         try:
             prepared = self.prepare()
         except BudgetExceeded as exceeded:
-            return unknown_result(exceeded.reason)
+            return unanswered(exceeded.reason)
         except GroundingExplosion:
-            return unknown_result(FailureReason.GROUNDING_BLOWUP)
+            return unanswered(FailureReason.GROUNDING_BLOWUP)
         return prepared.solve(max_rounds=max_rounds)
 
     # --------------------------------------------------- MBQI refinement
@@ -747,7 +759,7 @@ class PreparedEpr:
                 if key is not None:
                     cache.store(key, outcome)
             statistics = outcome.statistics
-            if prof is not None and prof.wall:
+            if prof.wall:
                 phases = prof.attrs_ms()
                 sp.set(**phases)
                 profile.publish(prof)
@@ -772,6 +784,12 @@ class PreparedEpr:
                 obs.inc("cache_misses_total")
                 obs.observe("query_latency_ms", statistics.get("solve_ms", 0))
                 obs.observe("grounded_instances", self.instance_count)
+                for counter in WORK_COUNTERS:
+                    if statistics.get(counter):
+                        obs.inc(
+                            "solver_work_total", statistics[counter],
+                            counter=counter,
+                        )
             return outcome
 
     def _solve(

@@ -9,8 +9,9 @@ identical CTI, since CTIs always come from the full unsliced query.
 import pytest
 
 from repro.core.induction import check_inductive
+from repro.obs import MetricsRegistry, install_metrics
 from repro.protocols import ALL_PROTOCOLS
-from repro.solver import SolverStats, install_cache, install_fault_plan
+from repro.solver import install_cache, install_fault_plan
 from repro.solver.budget import Budget
 from repro.solver.dispatch import _fork_context
 
@@ -56,12 +57,18 @@ class TestSliceDifferential:
         assert sliced.holds == full.holds is True
 
     @pytest.mark.parametrize("name", FAST_PROTOCOLS)
-    def test_slicing_actually_reduces_instances(self, name, monkeypatch):
-        sliced_stats, full_stats = SolverStats(), SolverStats()
-        _check(name, monkeypatch, slice_on=True, stats=sliced_stats)
-        _check(name, monkeypatch, slice_on=False, stats=full_stats)
-        sliced = sliced_stats.counters.get("instances", 0)
-        full = full_stats.counters.get("instances", 0)
+    def test_slicing_actually_reduces_instances(
+        self, name, monkeypatch, metrics_registry
+    ):
+        def instances(slice_on: bool) -> int:
+            registry = MetricsRegistry()
+            install_metrics(registry)
+            _check(name, monkeypatch, slice_on=slice_on)
+            return registry.counter(
+                "solver_work_total", counter="instances"
+            ).value
+
+        sliced, full = instances(True), instances(False)
         assert 0 < sliced < full, (sliced, full)
 
     def test_cti_identical_on_weakened_invariant(self, monkeypatch):
@@ -110,7 +117,9 @@ class TestSymmetryDifferential:
 
 class TestChaosWithSlicing:
     @needs_fork
-    def test_dispatch_verdict_stable_under_crashes(self, monkeypatch):
+    def test_dispatch_verdict_stable_under_crashes(
+        self, monkeypatch, metrics_registry
+    ):
         """Sliced parallel dispatch survives worker crashes unchanged."""
         from repro.solver import parse_fault_spec
 
@@ -118,12 +127,18 @@ class TestChaosWithSlicing:
         bundle = ALL_PROTOCOLS["lock_server"].build()
         baseline = check_inductive(bundle.program, list(bundle.invariant), jobs=2)
         install_fault_plan(parse_fault_spec("crash:0.3,seed:7"))
-        stats = SolverStats()
         chaotic = check_inductive(
-            bundle.program, list(bundle.invariant), jobs=2, stats=stats,
+            bundle.program, list(bundle.invariant), jobs=2,
             budget=Budget(wall_seconds=60.0),
         )
         install_fault_plan(None)
         assert chaotic.holds == baseline.holds is True
         assert not chaotic.unknown_obligations
-        assert stats.worker_crashes + stats.worker_kills > 0
+        faults = sum(
+            metrics_registry.counter(name).value
+            for name in (
+                "worker_crashes_total", "worker_kills_total",
+                "worker_wedged_total",
+            )
+        )
+        assert faults > 0

@@ -51,6 +51,17 @@ def _test_deadline():
         signal.signal(signal.SIGALRM, old_handler)
 
 
+@pytest.fixture
+def metrics_registry():
+    """A fresh metrics registry, installed for the test; the old one after."""
+    from repro.obs import MetricsRegistry, install_metrics
+
+    registry = MetricsRegistry()
+    old = install_metrics(registry)
+    yield registry
+    install_metrics(old)
+
+
 @pytest.fixture(scope="session")
 def leader_bundle():
     return leader_election.build()

@@ -79,3 +79,41 @@ class TestRegistry:
 
     def test_no_derived_rates_without_traffic(self, registry):
         assert registry.to_dict()["derived"] == {}
+
+
+class TestFormatStats:
+    def test_summary_lines(self, registry):
+        obs.inc("queries_total", 3, verdict="unsat")
+        obs.inc("queries_total", verdict="unknown")
+        obs.inc("cache_hits_total")
+        obs.inc("cache_misses_total", 3)
+        obs.inc("cache_evictions_total", 2)
+        obs.inc("dispatched_total", 4)
+        obs.inc("solver_work_total", 7, counter="conflicts")
+        obs.observe("query_phase_ms", 1.04, phase="sat")
+        obs.observe("query_phase_ms", 0.03900000000000002, phase="sat",
+                    engine="bmc")
+        lines = registry.format_stats().splitlines()
+        assert lines[0] == "solver statistics:"
+        assert "4 (sat 0, unsat 3, unknown 1)" in lines[1]
+        assert "1 hits / 3 misses (25% hit rate), 2 evictions" in lines[2]
+        assert "4 to worker processes" in lines[3]
+        assert not any("faults" in line for line in lines)
+        work = dict(line.split() for line in lines[4:13])
+        assert work["conflicts"] == "7" and work["restarts"] == "0"
+        assert lines[13:] == ["  [sat] 1.1 ms"]
+
+    def test_faults_line_only_when_a_fault_happened(self, registry):
+        assert "faults" not in registry.format_stats()
+        obs.inc("worker_wedged_total")
+        obs.inc("dispatch_retries_total", 2)
+        assert (
+            "0 crashes, 0 kills, 1 wedged, 2 retries, 0 serial fallbacks"
+            in registry.format_stats()
+        )
+
+    def test_no_work_lines_without_a_solve(self, registry):
+        obs.inc("queries_total", 2, verdict="sat")
+        obs.inc("cache_hits_total", 2)
+        text = registry.format_stats()
+        assert "(100% hit rate)" in text and "instances" not in text

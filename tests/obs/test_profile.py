@@ -51,11 +51,9 @@ def clean_obs():
     old_tracer = obs.install_tracer(None)
     old_metrics = obs.install_metrics(None)
     old_cache = install_cache(None)
-    old_profiling = profile.set_profiling(True)
     install_fault_plan(FaultPlan())
     yield
     install_fault_plan(None)
-    profile.set_profiling(old_profiling)
     install_cache(old_cache)
     obs.install_metrics(old_metrics)
     obs.install_tracer(old_tracer)
@@ -143,21 +141,6 @@ class TestCollectAndPhase:
         key = "query_phase_ms{engine=houdini,phase=ledger}"
         assert registry.to_dict()["histograms"][key]["count"] == 1
 
-    def test_disabled_profiling_is_inert(self):
-        registry = obs.MetricsRegistry()
-        obs.install_metrics(registry)
-        assert profile.set_profiling(False) is True
-        with profile.collect() as prof:
-            with profile.phase("sat"):
-                pass
-        assert prof is None
-        assert registry.to_dict()["histograms"] == {}
-
-    def test_set_profiling_returns_previous(self):
-        assert profile.set_profiling(False) is True
-        assert profile.set_profiling(True) is False
-        assert profile.profiling_enabled()
-
     def test_publish_feeds_scope_into_histograms(self):
         registry = obs.MetricsRegistry()
         obs.install_metrics(registry)
@@ -211,15 +194,6 @@ class TestSolverIntegration:
         ]
         assert any(key == "phase_cnf_ms" for key in phase_keys)
         assert any(key == "phase_normalize_ms" for key in phase_keys)
-
-    def test_disabled_profiling_leaves_statistics_bare(self):
-        profile.set_profiling(False)
-        solver = EprSolver(VOCAB)
-        solver.add(SOME_P, name="f0")
-        result = solver.check()
-        assert not any(
-            key.startswith(profile.ATTR_PREFIX) for key in result.statistics
-        )
 
 
 @needs_fork

@@ -5,13 +5,11 @@ import os
 
 import pytest
 
-from repro import obs
 from repro.logic import RelDecl, Sort, Var, vocabulary
 from repro.logic import syntax as s
 from repro.recovery import heartbeat
 from repro.solver.dispatch import shutdown_pool, solve_queries
 from repro.solver.epr import EprSolver
-from repro.solver.stats import SolverStats
 
 
 @pytest.fixture(autouse=True)
@@ -90,7 +88,7 @@ def _queries(count):
 @needs_fork
 class TestWedgeWatchdog:
     def test_silently_hung_worker_is_killed_and_work_retried(
-        self, monkeypatch
+        self, monkeypatch, metrics_registry
     ):
         """A worker that stops beating is SIGKILLed by the watchdog well
         before any wall deadline, and its query still completes (retry or
@@ -98,9 +96,6 @@ class TestWedgeWatchdog:
         monkeypatch.setenv("REPRO_FAULT", "hang:1.0:600,seed:3")
         monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "1.0")
         monkeypatch.setenv("REPRO_RETRIES", "0")
-        registry = obs.MetricsRegistry()
-        old = obs.install_metrics(registry)
-        stats = SolverStats()
         try:
             from repro.solver.dispatch import query_of
 
@@ -110,12 +105,11 @@ class TestWedgeWatchdog:
             ]
             results = [
                 result
-                for (result,) in solve_queries(queries, jobs=2, stats=stats)
+                for (result,) in solve_queries(queries, jobs=2)
             ]
         finally:
-            obs.install_metrics(old)
             shutdown_pool()
             monkeypatch.delenv("REPRO_FAULT")
         assert all(result.satisfiable for result in results)
-        counters = registry.to_dict().get("counters", {})
+        counters = metrics_registry.to_dict()["counters"]
         assert counters.get("worker_wedged_total", 0) >= 1

@@ -3,8 +3,8 @@
 Every test runs an engine twice against the same journal file: a live
 run that records, then a resumed run that must reach the identical
 verdict while re-issuing **no solver queries** for journaled-complete
-work (asserted through :class:`~repro.solver.stats.SolverStats` query
-counts -- the acceptance criterion of the crash-safety work).
+work (asserted through the metrics registry's ``queries_total`` counts
+-- the acceptance criterion of the crash-safety work).
 """
 
 import pytest
@@ -19,7 +19,6 @@ from repro.protocols import lock_server
 from repro.recovery.journal import Journal
 from repro.rml.ast import Assume, Havoc, Program, choice, seq
 from repro.rml.sugar import assert_, insert
-from repro.solver.stats import SolverStats
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +29,21 @@ def lock_bundle():
 @pytest.fixture()
 def journal_path(tmp_path):
     return str(tmp_path / "journal.jsonl")
+
+
+def _counted(registry, run):
+    """``run()``'s result and the solver queries it added to ``registry``."""
+
+    def answers() -> int:
+        return sum(
+            value
+            for key, value in registry.to_dict()["counters"].items()
+            if key.startswith("queries_total{")
+        )
+
+    before = answers()
+    result = run()
+    return result, answers() - before
 
 
 def _monotone_program() -> Program:
@@ -60,7 +74,9 @@ def _monotone_program() -> Program:
 
 
 class TestHoudiniResume:
-    def test_resume_skips_every_round(self, lock_bundle, journal_path):
+    def test_resume_skips_every_round(
+        self, lock_bundle, journal_path, metrics_registry
+    ):
         vocab = lock_bundle.program.vocab
         wrong = Conjecture(
             "no_holder", parse_formula("forall C:client. ~holds(C)", vocab)
@@ -68,20 +84,20 @@ class TestHoudiniResume:
         pool = [*lock_bundle.invariant, wrong]
 
         live = Journal.fresh(journal_path)
-        live_stats = SolverStats()
-        first = houdini(
-            lock_bundle.program, pool, stats=live_stats, journal=live
+        first, live_queries = _counted(
+            metrics_registry,
+            lambda: houdini(lock_bundle.program, pool, journal=live),
         )
         live.close()
-        assert live_stats.queries > 0
+        assert live_queries > 0
         assert first.rounds >= 2  # the wrong conjecture forces a real round
 
         resumed = Journal.resume(journal_path)
-        resumed_stats = SolverStats()
-        second = houdini(
-            lock_bundle.program, pool, stats=resumed_stats, journal=resumed
+        second, resumed_queries = _counted(
+            metrics_registry,
+            lambda: houdini(lock_bundle.program, pool, journal=resumed),
         )
-        assert resumed_stats.queries == 0
+        assert resumed_queries == 0
         assert [c.name for c in second.invariant] == [
             c.name for c in first.invariant
         ]
@@ -97,107 +113,123 @@ class TestHoudiniResume:
         backward = pool_fingerprint(lock_bundle.program, pool[::-1])
         assert forward == backward
 
-    def test_different_pool_does_not_replay(self, lock_bundle, journal_path):
+    def test_different_pool_does_not_replay(
+        self, lock_bundle, journal_path, metrics_registry
+    ):
         live = Journal.fresh(journal_path)
         houdini(lock_bundle.program, list(lock_bundle.invariant), journal=live)
         live.close()
         resumed = Journal.resume(journal_path)
-        stats = SolverStats()
         smaller = list(lock_bundle.invariant)[:3]
-        houdini(lock_bundle.program, smaller, stats=stats, journal=resumed)
-        assert stats.queries > 0  # a different pool is a different run
+        _, queries = _counted(
+            metrics_registry,
+            lambda: houdini(lock_bundle.program, smaller, journal=resumed),
+        )
+        assert queries > 0  # a different pool is a different run
         resumed.close()
 
 
 class TestInductionResume:
-    def test_resume_discharges_from_journal(self, lock_bundle, journal_path):
+    def test_resume_discharges_from_journal(
+        self, lock_bundle, journal_path, metrics_registry
+    ):
         live = Journal.fresh(journal_path)
-        live_stats = SolverStats()
-        first = check_inductive(
-            lock_bundle.program, list(lock_bundle.invariant),
-            stats=live_stats, journal=live,
+        first, live_queries = _counted(
+            metrics_registry,
+            lambda: check_inductive(
+                lock_bundle.program, list(lock_bundle.invariant), journal=live
+            ),
         )
         live.close()
-        assert first.holds and live_stats.queries > 0
+        assert first.holds and live_queries > 0
 
         resumed = Journal.resume(journal_path)
-        resumed_stats = SolverStats()
-        second = check_inductive(
-            lock_bundle.program, list(lock_bundle.invariant),
-            stats=resumed_stats, journal=resumed,
+        second, resumed_queries = _counted(
+            metrics_registry,
+            lambda: check_inductive(
+                lock_bundle.program, list(lock_bundle.invariant),
+                journal=resumed,
+            ),
         )
         assert second.holds
-        assert resumed_stats.queries == 0
-        assert second.statistics["journal_hits"] == live_stats.queries
+        assert resumed_queries == 0
+        assert second.statistics["journal_hits"] == live_queries
         resumed.close()
 
 
 class TestBoundedResume:
     def test_k_invariance_resumes_to_zero_queries(
-        self, lock_bundle, journal_path
+        self, lock_bundle, journal_path, metrics_registry
     ):
         safety = lock_bundle.safety[0].formula
         live = Journal.fresh(journal_path)
-        live_stats = SolverStats()
-        first = check_k_invariance(
-            lock_bundle.program, safety, 3, stats=live_stats, journal=live
+        first, live_queries = _counted(
+            metrics_registry,
+            lambda: check_k_invariance(
+                lock_bundle.program, safety, 3, journal=live
+            ),
         )
         live.close()
-        assert first.holds and live_stats.queries > 0
+        assert first.holds and live_queries > 0
 
         resumed = Journal.resume(journal_path)
-        resumed_stats = SolverStats()
-        second = check_k_invariance(
-            lock_bundle.program, safety, 3, stats=resumed_stats,
-            journal=resumed,
+        second, resumed_queries = _counted(
+            metrics_registry,
+            lambda: check_k_invariance(
+                lock_bundle.program, safety, 3, journal=resumed
+            ),
         )
         assert second.holds == first.holds
-        assert resumed_stats.queries == 0
+        assert resumed_queries == 0
         resumed.close()
 
     def test_error_trace_resumes_to_zero_queries(
-        self, lock_bundle, journal_path
+        self, lock_bundle, journal_path, metrics_registry
     ):
         live = Journal.fresh(journal_path)
-        live_stats = SolverStats()
-        first = find_error_trace(
-            lock_bundle.program, 3, stats=live_stats, journal=live
+        first, live_queries = _counted(
+            metrics_registry,
+            lambda: find_error_trace(lock_bundle.program, 3, journal=live),
         )
         live.close()
-        assert first.holds and live_stats.queries > 0
+        assert first.holds and live_queries > 0
 
         resumed = Journal.resume(journal_path)
-        resumed_stats = SolverStats()
-        second = find_error_trace(
-            lock_bundle.program, 3, stats=resumed_stats, journal=resumed
+        second, resumed_queries = _counted(
+            metrics_registry,
+            lambda: find_error_trace(lock_bundle.program, 3, journal=resumed),
         )
         assert second.holds == first.holds
-        assert resumed_stats.queries == 0
+        assert resumed_queries == 0
         resumed.close()
 
 
 class TestUpdrResume:
-    def test_frames_restored_from_snapshot(self, journal_path):
+    def test_frames_restored_from_snapshot(
+        self, journal_path, metrics_registry
+    ):
         program = _monotone_program()
         live = Journal.fresh(journal_path)
-        live_stats = SolverStats()
-        first = updr(
-            program, max_frames=8, max_obligations=200, stats=live_stats,
-            journal=live,
+        first, live_queries = _counted(
+            metrics_registry,
+            lambda: updr(
+                program, max_frames=8, max_obligations=200, journal=live
+            ),
         )
         live.close()
         assert first.status == UpdrStatus.SAFE
 
         resumed = Journal.resume(journal_path)
-        resumed_stats = SolverStats()
-        second = updr(
-            program, max_frames=8, max_obligations=200, stats=resumed_stats,
-            journal=resumed,
+        second, resumed_queries = _counted(
+            metrics_registry,
+            lambda: updr(
+                program, max_frames=8, max_obligations=200, journal=resumed
+            ),
         )
         assert second.status == UpdrStatus.SAFE
         # completed frames and learned clauses come from the journal; only
         # the final fixpoint confirmation may re-solve
-        assert resumed_stats.queries < live_stats.queries
+        assert resumed_queries < live_queries
         assert resumed.reused > 0
         resumed.close()
 

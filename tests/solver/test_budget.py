@@ -119,6 +119,32 @@ class TestBudgetedSolver:
         assert result.is_unsat and "cache_hits" not in result.statistics
 
 
+class TestUnknownCounting:
+    """Every UNKNOWN an engine receives is counted once in the registry."""
+
+    def test_unknown_before_a_solve_is_counted(self, metrics_registry):
+        starved = _solver([SOME_P, NO_P], budget=Budget(wall_seconds=-1.0))
+        assert starved.check().unknown
+        counters = metrics_registry.to_dict()["counters"]
+        assert counters["queries_total{verdict=unknown}"] == 1
+        assert counters["cache_misses_total"] == 1
+
+    def test_unknown_inside_a_solve_is_counted_once(
+        self, metrics_registry, monkeypatch
+    ):
+        from repro.solver.epr import PreparedEpr
+
+        def exhausted(*_args):
+            raise BudgetExceeded(FailureReason.TIMEOUT)
+
+        monkeypatch.setattr(PreparedEpr, "_stable_solve", exhausted)
+        result = _solver([SOME_P, NO_P]).check()
+        assert result.unknown and result.statistics
+        counters = metrics_registry.to_dict()["counters"]
+        assert counters["queries_total{verdict=unknown}"] == 1
+        assert counters["cache_misses_total"] == 1
+
+
 class TestEnvResolution:
     def test_explicit_arguments_win(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIMEOUT", "99")

@@ -13,13 +13,13 @@ import pytest
 
 from repro.logic import RelDecl, Sort, Var, vocabulary
 from repro.logic import syntax as s
+from repro.obs import MetricsRegistry, install_metrics
 from repro.solver import (
     DiskCache,
     EprResult,
     EprSolver,
     FailureReason,
     QueryCache,
-    SolverStats,
     install_cache,
     query_of,
     solve_queries,
@@ -242,19 +242,21 @@ class TestWorkerPool:
         for (a,), (b,) in zip(first, second):
             assert a.satisfiable == b.satisfiable
 
-    def test_pool_tracks_parent_cache_disable(self):
+    def test_pool_tracks_parent_cache_disable(self, metrics_registry):
         # Workers fork with the parent's cache; install_cache(None) in the
         # parent must reach already-running workers via the generation
         # shipped with each task.
-        stats = SolverStats()
         solve_queries(self._queries(), jobs=2)  # warm the pool + its caches
         install_cache(None)
-        batches = solve_queries(self._queries(), jobs=2, stats=stats)
+        batches = solve_queries(self._queries(), jobs=2)
         assert [r.satisfiable for (r,) in batches] == self.VERDICTS
         # With the cache disabled everywhere, nothing may report cached.
         assert all(not r.cached for (r,) in batches)
+        assert metrics_registry.counter("cache_hits_total").value == 0
 
-    def test_pool_shares_disk_store_across_batches(self, tmp_path, monkeypatch):
+    def test_pool_shares_disk_store_across_batches(
+        self, tmp_path, monkeypatch, metrics_registry
+    ):
         monkeypatch.setenv("REPRO_CACHE_PERSIST", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         install_cache(query_cache(refresh=True))
@@ -262,7 +264,8 @@ class TestWorkerPool:
         # One worker's solves are on disk for everyone -- including a
         # brand-new memory cache in the parent.
         install_cache(query_cache(refresh=True))
-        stats = SolverStats()
-        batches = solve_queries(self._queries(), jobs=2, stats=stats)
+        registry = MetricsRegistry()
+        install_metrics(registry)
+        batches = solve_queries(self._queries(), jobs=2)
         assert [r.satisfiable for (r,) in batches] == self.VERDICTS
-        assert stats.cache_hits == len(self.QUERIES)
+        assert registry.counter("cache_hits_total").value == len(self.QUERIES)

@@ -1,4 +1,4 @@
-"""Parallel dispatch, query caching, and structured solver statistics."""
+"""Parallel dispatch, query caching, and the solver counters they publish."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.solver import (
     EprSolver,
     Query,
     QueryCache,
-    SolverStats,
     install_cache,
     query_of,
     resolve_jobs,
@@ -20,6 +19,15 @@ p = RelDecl("p", (elem,))
 q = RelDecl("q", (elem,))
 VOCAB = vocabulary(sorts=[elem], relations=[p, q], functions=[])
 X = Var("X", elem)
+
+
+def _answers(registry) -> dict[str, int]:
+    """The ``queries_total`` series of ``registry``, by verdict."""
+    return {
+        key[len("queries_total{verdict="):-1]: value
+        for key, value in registry.to_dict()["counters"].items()
+        if key.startswith("queries_total{")
+    }
 
 
 @pytest.fixture(autouse=True)
@@ -117,15 +125,14 @@ class TestQueryCache:
         missed = _solver([SOME_Q]).check()
         assert "cache_hits" not in missed.statistics
 
-    def test_eviction_count_reaches_stats(self):
+    def test_eviction_count_reaches_stats(self, metrics_registry):
         cache = QueryCache(capacity=1)
         install_cache(cache)
         _solver([SOME_P]).check()
         _solver([SOME_Q]).check()
-        stats = SolverStats()
-        stats.note_cache(cache)
-        assert stats.cache_evictions == 1
-        assert "evictions" in stats.format()
+        assert cache.evictions == 1
+        assert metrics_registry.counter("cache_evictions_total").value == 1
+        assert "1 evictions" in metrics_registry.format_stats()
 
     def test_cache_size_env(self, monkeypatch):
         from repro.solver.cache import DEFAULT_CAPACITY, query_cache
@@ -180,13 +187,23 @@ class TestDispatch:
         (results,) = solve_queries([query], jobs=1)
         assert [r.satisfiable for r in results] == [False, True]
 
-    def test_stats_recorded(self):
-        stats = SolverStats()
-        solve_queries(self._queries(), jobs=2, stats=stats)
-        assert stats.queries == 4
-        assert stats.sat_answers == 2
-        assert stats.unsat_answers == 2
-        assert stats.dispatched == 4
+    def test_stats_recorded(self, metrics_registry):
+        solve_queries(self._queries(), jobs=2)
+        assert _answers(metrics_registry) == {"sat": 2, "unsat": 2}
+        assert metrics_registry.counter("dispatched_total").value == 4
+
+    def test_dispatched_counts_every_solve_set(self, metrics_registry):
+        install_cache(None)
+        solver = EprSolver(VOCAB)
+        solver.add(SOME_P, name="base")
+        solver.add(NO_P, name="no_p", track=True)
+        solver.add(SOME_Q, name="some_q", track=True)
+        sets = [frozenset({"no_p"}), frozenset({"some_q"})]
+        solve_queries(
+            [query_of(solver, solve_sets=sets), self._queries()[0]], jobs=2
+        )
+        assert _answers(metrics_registry) == {"sat": 1, "unsat": 2}
+        assert metrics_registry.counter("dispatched_total").value == 3
 
     def test_resolve_jobs_priority(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -205,26 +222,29 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "REPRO_JOBS" in err and "'8x'" in err
 
-    def test_serial_fallback_when_fork_unavailable(self, monkeypatch):
+    def test_serial_fallback_when_fork_unavailable(
+        self, monkeypatch, metrics_registry
+    ):
         from repro.solver import dispatch
 
         monkeypatch.setattr(dispatch, "_fork_context", lambda: None)
         install_cache(None)
-        stats = SolverStats()
-        batches = solve_queries(self._queries(), jobs=4, stats=stats)
+        registry = metrics_registry
+        batches = solve_queries(self._queries(), jobs=4)
         assert [r.satisfiable for (r,) in batches] == [False, True, True, False]
-        assert stats.dispatched == 0  # everything solved in-process
+        assert _answers(registry) == {"sat": 2, "unsat": 2}
+        # everything solved in-process
+        assert registry.counter("dispatched_total").value == 0
 
     def test_more_jobs_than_queries(self):
         install_cache(None)
         batches = solve_queries(self._queries(), jobs=32)
         assert [r.satisfiable for (r,) in batches] == [False, True, True, False]
 
-    def test_single_query_runs_serial(self):
-        stats = SolverStats()
-        (batch,) = solve_queries(self._queries()[:1], jobs=8, stats=stats)
+    def test_single_query_runs_serial(self, metrics_registry):
+        (batch,) = solve_queries(self._queries()[:1], jobs=8)
         assert not batch[0].satisfiable
-        assert stats.dispatched == 0
+        assert metrics_registry.counter("dispatched_total").value == 0
 
 
 @pytest.mark.slow
@@ -249,29 +269,3 @@ class TestParallelEntryPoints:
         parallel = check_inductive(program, conjectures, jobs=2)
         assert serial.holds == parallel.holds
 
-
-class TestSolverStats:
-    def test_record_and_rates(self):
-        stats = SolverStats()
-        stats.record({"instances": 5}, satisfiable=True, cached=False)
-        stats.record({"instances": 2}, satisfiable=False, cached=True)
-        assert stats.queries == 2
-        assert stats.sat_answers == 1 and stats.unsat_answers == 1
-        assert stats.cache_hit_rate == 0.5
-        assert stats.counters["instances"] == 7
-
-    def test_merge(self):
-        a, b = SolverStats(), SolverStats()
-        a.record({}, satisfiable=True)
-        b.record({}, satisfiable=False, dispatched=True)
-        with b.phase("solve"):
-            pass
-        a.merge(b)
-        assert a.queries == 2 and a.dispatched == 1
-        assert "solve" in a.phase_seconds
-
-    def test_format_mentions_cache_and_queries(self):
-        stats = SolverStats()
-        stats.record({"conflicts": 3}, satisfiable=False, cached=True)
-        text = stats.format()
-        assert "queries" in text and "cache" in text and "conflicts" in text

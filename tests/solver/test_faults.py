@@ -13,11 +13,11 @@ import pytest
 
 from repro.logic import RelDecl, Sort, Var, vocabulary
 from repro.logic import syntax as s
+from repro.obs import MetricsRegistry, install_metrics
 from repro.solver import (
     Budget,
     EprSolver,
     FaultPlan,
-    SolverStats,
     install_cache,
     install_fault_plan,
     parse_fault_spec,
@@ -49,6 +49,15 @@ QUERIES = [
     [s.and_(SOME_Q, NO_Q)],  # unsat
 ]
 EXPECTED = [False, True, True, False]
+
+
+def _total(registry: MetricsRegistry, *names: str, **labels) -> int:
+    """Summed value of the named counters in ``registry``."""
+    return sum(registry.counter(name, **labels).value for name in names)
+
+
+#: workers the parent SIGKILLed: past their deadline, or wedged
+KILLS = ("worker_kills_total", "worker_wedged_total")
 
 
 @pytest.fixture(autouse=True)
@@ -116,77 +125,72 @@ class TestFaultPlan:
 
 @needs_fork
 class TestChaos:
-    def test_crashes_do_not_flip_verdicts(self):
+    def test_crashes_do_not_flip_verdicts(self, metrics_registry):
         baseline = solve_queries(_queries(), jobs=2)
         install_fault_plan(FaultPlan(crash=0.6, seed=11))
-        stats = SolverStats()
-        chaotic = solve_queries(_queries(), jobs=2, stats=stats)
+        chaotic = solve_queries(_queries(), jobs=2)
         assert [r.satisfiable for (r,) in chaotic] == EXPECTED
         assert [r.verdict for (r,) in chaotic] == [
             r.verdict for (r,) in baseline
         ]
         assert not any(r.unknown for (r,) in chaotic)
-        assert stats.worker_crashes > 0  # the plan actually fired
+        # the plan actually fired
+        assert _total(metrics_registry, "worker_crashes_total") > 0
 
-    def test_hung_worker_killed_within_deadline(self):
+    def test_hung_worker_killed_within_deadline(self, metrics_registry):
         budget = Budget(wall_seconds=0.5)
         install_fault_plan(FaultPlan(hang=1.0, hang_seconds=3600.0, seed=1))
-        stats = SolverStats()
         start = time.monotonic()
-        batches = solve_queries(_queries(budget), jobs=2, stats=stats, retries=0)
+        batches = solve_queries(_queries(budget), jobs=2, retries=0)
         elapsed = time.monotonic() - start
         # External deadline is wall*2+1 = 2s per attempt; with retries=0 a
         # single kill per query then the fault-free serial fallback.
         assert elapsed < 30.0
-        assert stats.worker_kills > 0
-        assert stats.serial_fallbacks > 0
+        assert _total(metrics_registry, *KILLS) > 0
+        assert _total(metrics_registry, "serial_fallbacks_total") > 0
         assert [r.satisfiable for (r,) in batches] == EXPECTED
 
-    def test_mixed_crash_hang_preserves_verdicts(self):
+    def test_mixed_crash_hang_preserves_verdicts(self, metrics_registry):
         budget = Budget(wall_seconds=0.5)
         install_fault_plan(
             FaultPlan(crash=0.3, hang=0.1, hang_seconds=30.0, seed=7)
         )
-        stats = SolverStats()
-        batches = solve_queries(_queries(budget), jobs=4, stats=stats)
+        batches = solve_queries(_queries(budget), jobs=4)
         assert [r.satisfiable for (r,) in batches] == EXPECTED
         assert not any(r.unknown for (r,) in batches)
-        assert stats.worker_crashes + stats.worker_kills > 0
+        assert _total(metrics_registry, "worker_crashes_total", *KILLS) > 0
 
-    def test_no_fallback_reports_typed_unknown(self):
+    def test_no_fallback_reports_typed_unknown(self, metrics_registry):
         install_fault_plan(FaultPlan(crash=1.0, seed=2))
-        stats = SolverStats()
-        batches = solve_queries(
-            _queries(), jobs=2, stats=stats, retries=1, fallback=False
-        )
+        batches = solve_queries(_queries(), jobs=2, retries=1, fallback=False)
         for (result,) in batches:
             assert result.unknown
             assert result.verdict == "unknown"
             assert result.failure is not None
-        assert stats.unknown_answers == len(QUERIES)
-        assert stats.retries > 0
+        unknowns = _total(metrics_registry, "queries_total", verdict="unknown")
+        assert unknowns == len(QUERIES)
+        assert _total(metrics_registry, "dispatch_retries_total") > 0
 
-    def test_slow_workers_just_finish(self):
+    def test_slow_workers_just_finish(self, metrics_registry):
         install_fault_plan(FaultPlan(slow=1.0, slow_seconds=0.05, seed=4))
-        stats = SolverStats()
-        batches = solve_queries(_queries(), jobs=2, stats=stats)
+        batches = solve_queries(_queries(), jobs=2)
         assert [r.satisfiable for (r,) in batches] == EXPECTED
-        assert stats.worker_crashes == stats.worker_kills == 0
+        assert _total(metrics_registry, "worker_crashes_total", *KILLS) == 0
 
-    def test_pool_heals_after_chaotic_batch(self):
+    def test_pool_heals_after_chaotic_batch(self, metrics_registry):
         # The persistent pool loses workers to a chaotic batch; the next
         # (fault-free) batch on the same pool must be served cleanly by
         # replacement workers, not poisoned by the carnage before it.
         install_fault_plan(FaultPlan(crash=0.6, seed=11))
-        stats = SolverStats()
-        solve_queries(_queries(), jobs=2, stats=stats)
-        assert stats.worker_crashes > 0
+        solve_queries(_queries(), jobs=2)
+        assert _total(metrics_registry, "worker_crashes_total") > 0
         install_fault_plan(FaultPlan())  # hard "no faults"
-        clean_stats = SolverStats()
-        batches = solve_queries(_queries(), jobs=2, stats=clean_stats)
+        clean = MetricsRegistry()
+        install_metrics(clean)
+        batches = solve_queries(_queries(), jobs=2)
         assert [r.satisfiable for (r,) in batches] == EXPECTED
-        assert clean_stats.worker_crashes == clean_stats.worker_kills == 0
-        assert clean_stats.dispatched == len(QUERIES)
+        assert _total(clean, "worker_crashes_total", *KILLS) == 0
+        assert _total(clean, "dispatched_total") == len(QUERIES)
 
 
 @needs_fork
@@ -206,33 +210,32 @@ class TestChaosAcceptance:
 
         return replace(plan, hang_seconds=30.0)
 
-    def test_lock_server_bmc_verdict_stable(self):
+    def test_lock_server_bmc_verdict_stable(self, metrics_registry):
         from repro.core.bounded import find_error_trace
         from repro.protocols import lock_server
 
         program = lock_server.build().program
         baseline = find_error_trace(program, 2, jobs=2)
         install_fault_plan(self._chaos_plan())
-        stats = SolverStats()
         chaotic = find_error_trace(
-            program, 2, jobs=2, stats=stats, budget=Budget(wall_seconds=20.0)
+            program, 2, jobs=2, budget=Budget(wall_seconds=20.0)
         )
         assert chaotic.holds == baseline.holds
         assert not chaotic.unknown
-        assert stats.worker_crashes + stats.worker_kills > 0
+        assert _total(metrics_registry, "worker_crashes_total", *KILLS) > 0
 
-    def test_leader_election_induction_verdict_stable(self, leader_bundle):
+    def test_leader_election_induction_verdict_stable(
+        self, leader_bundle, metrics_registry
+    ):
         from repro.core.induction import check_inductive
 
         program = leader_bundle.program
         conjectures = list(leader_bundle.invariant)
         baseline = check_inductive(program, conjectures, jobs=2)
         install_fault_plan(self._chaos_plan())
-        stats = SolverStats()
         chaotic = check_inductive(
-            program, conjectures, jobs=2, stats=stats,
-            budget=Budget(wall_seconds=20.0),
+            program, conjectures, jobs=2, budget=Budget(wall_seconds=20.0),
         )
         assert chaotic.holds == baseline.holds
         assert not chaotic.unknown_obligations
-        assert stats.worker_crashes + stats.worker_kills > 0
+        assert _total(metrics_registry, "worker_crashes_total", *KILLS) > 0

@@ -1,5 +1,8 @@
 """The command-line interface."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import main
@@ -154,6 +157,68 @@ class TestCliBudgets:
         _budget_of(args)
         assert os.environ.get("REPRO_RETRIES") == "4"
         monkeypatch.delenv("REPRO_RETRIES", raising=False)
+
+
+def _stats_numbers(out: str) -> dict[str, int]:
+    """The ``--stats`` block's numbers, keyed by their registry series."""
+    from repro.obs.metrics import WORK_COUNTERS
+
+    block = out[out.index("solver statistics:"):]
+
+    def number(pattern: str) -> int:
+        match = re.search(pattern, block)
+        return int(match.group(1)) if match else 0
+
+    numbers = {
+        f"queries_total{{verdict={verdict}}}": number(rf"\b{verdict} (\d+)[,)]")
+        for verdict in ("sat", "unsat", "unknown")
+    }
+    numbers["cache_hits_total"] = number(r"(\d+) hits")
+    numbers["cache_misses_total"] = number(r"(\d+) misses")
+    numbers["cache_evictions_total"] = number(r"(\d+) evictions")
+    numbers["dispatched_total"] = number(r"dispatched\s+(\d+)")
+    for name in WORK_COUNTERS:
+        numbers[f"solver_work_total{{counter={name}}}"] = number(
+            rf"\n  {name}\s+(\d+)"
+        )
+    return numbers
+
+
+class TestCliStats:
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "lock_server"], ["check", "chord", "--timeout", "0.05"]],
+        ids=["lock_server", "chord-timeout"],
+    )
+    def test_stats_equal_the_metrics_snapshot(self, argv, tmp_path, capsys):
+        metrics = tmp_path / "m.json"
+        main([*argv, "--stats", "--metrics", str(metrics)])
+        printed = _stats_numbers(capsys.readouterr().out)
+        counters = json.loads(metrics.read_text())["counters"]
+        assert printed == {key: counters.get(key, 0) for key in printed}
+        assert sum(
+            value for key, value in printed.items()
+            if key.startswith("queries_total")
+        ) > 0
+
+    def test_evictions_reach_stats_and_metrics(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from repro.solver.cache import install_cache, query_cache
+
+        monkeypatch.setenv("REPRO_CACHE_SIZE", "1")
+        old = install_cache(query_cache(refresh=True))
+        try:
+            metrics = tmp_path / "m.json"
+            main(["check", "lock_server", "--stats", "--metrics", str(metrics)])
+        finally:
+            install_cache(old)
+        printed = _stats_numbers(capsys.readouterr().out)
+        counters = json.loads(metrics.read_text())["counters"]
+        assert printed["cache_evictions_total"] > 0
+        assert printed["cache_evictions_total"] == counters[
+            "cache_evictions_total"
+        ]
 
 
 class TestLint:
