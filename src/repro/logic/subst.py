@@ -18,6 +18,7 @@ Three substitution operations are needed by the paper's machinery:
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Iterable, Mapping
 
 from . import syntax as s
@@ -60,11 +61,23 @@ def fresh_var(base: str, sort: Sort, avoid: Iterable[s.Var]) -> s.Var:
 # ---------------------------------------------------------------------------
 
 
+def _same(new: tuple, old: tuple) -> bool:
+    """Whether a rebuilt child tuple holds exactly the old child objects."""
+    return all(map(operator.is_, new, old))
+
+
 def substitute_term(term: s.Term, mapping: Mapping[s.Var, s.Term]) -> s.Term:
+    # A node none of whose children changed is returned as it is: nodes
+    # are immutable and compare structurally, so only allocation differs.
     if isinstance(term, s.Var):
         return mapping.get(term, term)
     if isinstance(term, s.App):
-        return s.App(term.func, tuple(substitute_term(a, mapping) for a in term.args), span=term.span)
+        if not term.args:
+            return term
+        args = tuple(substitute_term(a, mapping) for a in term.args)
+        if _same(args, term.args):
+            return term
+        return s.App(term.func, args, span=term.span)
     if isinstance(term, s.Ite):
         return s.Ite(
             substitute(term.cond, mapping),
@@ -80,19 +93,26 @@ def substitute(formula: s.Formula, mapping: Mapping[s.Var, s.Term]) -> s.Formula
     if not mapping:
         return formula
     if isinstance(formula, s.Rel):
-        return s.Rel(formula.rel, tuple(substitute_term(a, mapping) for a in formula.args), span=formula.span)
+        args = tuple(substitute_term(a, mapping) for a in formula.args)
+        if _same(args, formula.args):
+            return formula
+        return s.Rel(formula.rel, args, span=formula.span)
     if isinstance(formula, s.Eq):
-        return s.Eq(
-            substitute_term(formula.lhs, mapping),
-            substitute_term(formula.rhs, mapping),
-            span=formula.span,
-        )
+        lhs = substitute_term(formula.lhs, mapping)
+        rhs = substitute_term(formula.rhs, mapping)
+        if lhs is formula.lhs and rhs is formula.rhs:
+            return formula
+        return s.Eq(lhs, rhs, span=formula.span)
     if isinstance(formula, s.Not):
-        return s.Not(substitute(formula.arg, mapping), span=formula.span)
-    if isinstance(formula, s.And):
-        return s.And(tuple(substitute(a, mapping) for a in formula.args), span=formula.span)
-    if isinstance(formula, s.Or):
-        return s.Or(tuple(substitute(a, mapping) for a in formula.args), span=formula.span)
+        arg = substitute(formula.arg, mapping)
+        if arg is formula.arg:
+            return formula
+        return s.Not(arg, span=formula.span)
+    if isinstance(formula, (s.And, s.Or)):
+        args = tuple(substitute(a, mapping) for a in formula.args)
+        if _same(args, formula.args):
+            return formula
+        return type(formula)(args, span=formula.span)
     if isinstance(formula, s.Implies):
         return s.Implies(
             substitute(formula.lhs, mapping),

@@ -98,10 +98,8 @@ class CnfBuilder:
         return lit
 
     def _encode(self, formula: s.Formula) -> int:
-        if formula == s.TRUE:
-            return self.true_lit()
-        if formula == s.FALSE:
-            return -self.true_lit()
+        # TRUE and FALSE are the empty And/Or: ``_define_and([])`` maps them
+        # to the true literal and its negation.
         if isinstance(formula, s.Rel):
             return self.rel_lit(formula)
         if isinstance(formula, s.Eq):

@@ -61,6 +61,7 @@ from .budget import Budget, BudgetExceeded, BudgetMeter, FailureReason
 from .cache import query_cache
 from .cnf import CnfBuilder, term_key
 from .equality import EqualityTheory
+from .mbqi import CompiledBlock, compile_block
 from .grounding import (
     GroundingExplosion,
     ground_universe,
@@ -218,13 +219,21 @@ def _decl_key(decl) -> tuple[str, str]:
     return (type(decl).__name__, decl.name)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _LazyBlock:
     """A universal block instantiated on demand (MBQI)."""
 
     vars: tuple[s.Var, ...]
     matrix: s.Formula
     selector: int | None
+    _compiled: object = field(default=None, init=False, repr=False)
+
+    def scanner(self) -> CompiledBlock | None:
+        """The compiled scan, built on the block's first refinement round;
+        None when the interpreter (``_eval_in_env``) evaluates the block."""
+        if self._compiled is None:
+            self._compiled = compile_block(self.vars, self.matrix) or False
+        return self._compiled or None
 
 
 class EprSolver:
@@ -517,27 +526,104 @@ class EprSolver:
         # atom exists whose argument classes match.  This is exactly how
         # model extraction reads relations, so an instance this evaluator
         # accepts is an instance the extracted structure satisfies.
-        true_canon: set[tuple[RelDecl, tuple[s.Term, ...]]] = set()
+        # Compiled scans read the same facts over integer representative
+        # ids (see :mod:`repro.solver.mbqi`).
+        rep_list = [rep for terms in rep_terms.values() for rep in terms]
+        rep_id = {rep: index for index, rep in enumerate(rep_list)}
+        true_ids: dict[RelDecl, set] = {}
+        true_atoms: list[s.Rel] = []
         for atom, var in builder.atoms.items():
             if isinstance(atom, s.Rel) and model.get(var, False):
-                true_canon.add((atom.rel, tuple(reps[arg] for arg in atom.args)))
+                true_atoms.append(atom)
+                args = atom.args
+                if len(args) == 1:
+                    key = rep_id[reps[args[0]]]
+                else:
+                    key = tuple(rep_id[reps[arg]] for arg in args)
+                true_ids.setdefault(atom.rel, set()).add(key)
+        true_canon: set[tuple[RelDecl, tuple[s.Term, ...]]] | None = None
+        func_tables: dict[FuncDecl, dict] = {}
+        no_facts: frozenset = frozenset()
+        counter = [0]  # evaluated combinations, for the deadline checks
         added = 0
-        evaluated = 0
         for block in lazy_blocks:
             if block.selector is not None and not model.get(block.selector, False):
                 continue  # tracked constraint currently disabled
-            domains = [rep_terms[var.sort] for var in block.vars]
-            env: dict[s.Var, s.Term] = {}
-            for combo in itertools.product(*domains):
-                evaluated += 1
-                if meter is not None and evaluated % 256 == 0:
-                    meter.check_deadline()
-                env = dict(zip(block.vars, combo))
-                if self._eval_in_env(block.matrix, env, true_canon, reps):
-                    continue
+            compiled = block.scanner()
+            const_ids = None
+            if compiled is not None:
+                try:
+                    const_ids = [rep_id[reps[c]] for c in compiled.consts]
+                except KeyError:
+                    pass  # left to the interpreter, which fails (or not) lazily
+            if const_ids is None:
+                if true_canon is None:
+                    true_canon = {
+                        (atom.rel, tuple(reps[arg] for arg in atom.args))
+                        for atom in true_atoms
+                    }
+                added += self._refine_interpreted(
+                    block, rep_terms, reps, true_canon, assert_instance,
+                    meter, counter,
+                )
+                continue
+            missing = [func for func in compiled.funcs if func not in func_tables]
+            if missing:
+                func_tables.update(self._function_tables(missing, reps, rep_id))
+            falsified = compiled.scan(
+                [[rep_id[t] for t in rep_terms[var.sort]] for var in block.vars],
+                [true_ids.get(rel, no_facts) for rel in compiled.rels],
+                [func_tables[func] for func in compiled.funcs],
+                const_ids,
+                meter,
+                counter,
+            )
+            for combo in falsified:
+                env = {var: rep_list[i] for var, i in zip(block.vars, combo)}
                 instance = substitute(block.matrix, env)
                 if assert_instance(instance, block.selector):
                     added += 1
+        return added
+
+    @staticmethod
+    def _function_tables(
+        funcs: list[FuncDecl],
+        reps: Mapping[s.Term, s.Term],
+        rep_id: Mapping[s.Term, int],
+    ) -> dict[FuncDecl, dict]:
+        """Per function: argument ids -> the result's id, over the
+        applications to representatives only (the terms ``_term_rep``
+        looks up)."""
+        tables: dict[FuncDecl, dict] = {func: {} for func in funcs}
+        for term, rep in reps.items():
+            if not isinstance(term, s.App) or not term.args:
+                continue
+            table = tables.get(term.func)
+            if table is None:
+                continue
+            ids = [rep_id.get(arg) for arg in term.args]
+            if None in ids:
+                continue  # an argument that is not a representative
+            table[ids[0] if len(ids) == 1 else tuple(ids)] = rep_id[rep]
+        return tables
+
+    def _refine_interpreted(
+        self, block, rep_terms, reps, true_canon, assert_instance, meter, counter
+    ) -> int:
+        """The AST-walking scan of one block: the reference the compiled
+        scan agrees with, and the fallback for matrices it cannot take."""
+        added = 0
+        domains = [rep_terms[var.sort] for var in block.vars]
+        for combo in itertools.product(*domains):
+            counter[0] += 1
+            if meter is not None and counter[0] % 256 == 0:
+                meter.check_deadline()
+            env = dict(zip(block.vars, combo))
+            if self._eval_in_env(block.matrix, env, true_canon, reps):
+                continue
+            instance = substitute(block.matrix, env)
+            if assert_instance(instance, block.selector):
+                added += 1
         return added
 
     def _term_rep(

@@ -52,11 +52,20 @@ class EqualityTheory:
         self.builder = builder
         self.vocab = vocab
         self.universe = {sort: list(terms) for sort, terms in universe.items()}
+        # Universe terms numbered in universe order; relation atoms keep
+        # their argument numbers so congruence checks compare small ints.
+        self._terms: list[s.Term] = []
+        self._term_index: dict[s.Term, int] = {}
+        for terms in self.universe.values():
+            for term in terms:
+                if term not in self._term_index:
+                    self._term_index[term] = len(self._terms)
+                    self._terms.append(term)
         # The builder's atoms split by kind, in creation order.  Atoms are
         # only ever added, so each refinement round indexes just the new
         # ones instead of rescanning every relation atom.
         self._eq_atoms: list[tuple[s.Eq, int]] = []
-        self._rel_atoms: dict[object, list[tuple[s.Rel, int]]] = {}
+        self._rel_atoms: dict[object, list[tuple[s.Rel, int, tuple[int, ...]]]] = {}
         self._indexed = 0
 
     def _index_atoms(self) -> None:
@@ -67,7 +76,8 @@ class EqualityTheory:
             if isinstance(atom, s.Eq):
                 self._eq_atoms.append((atom, var))
             elif isinstance(atom, s.Rel):
-                self._rel_atoms.setdefault(atom.rel, []).append((atom, var))
+                ids = tuple(self._term_index[arg] for arg in atom.args)
+                self._rel_atoms.setdefault(atom.rel, []).append((atom, var, ids))
         self._indexed = len(atoms)
 
     # ------------------------------------------------------------- quotient
@@ -219,11 +229,13 @@ class EqualityTheory:
         self, model: dict[int, bool], reps: dict[s.Term, s.Term]
     ) -> list[list[int]]:
         clauses: list[list[int]] = []
-        rep_of = reps.__getitem__
+        index = self._term_index
+        # Argument classes by number: term number -> its rep's number.
+        rep_of = [index[reps[term]] for term in self._terms].__getitem__
         for atoms in self._rel_atoms.values():
-            groups: dict[tuple[s.Term, ...], list[tuple[s.Rel, int]]] = {}
-            for atom, var in atoms:
-                signature = tuple(map(rep_of, atom.args))
+            groups: dict[tuple[int, ...], list[tuple[s.Rel, int]]] = {}
+            for atom, var, ids in atoms:
+                signature = tuple(map(rep_of, ids))
                 groups.setdefault(signature, []).append((atom, var))
             for members in groups.values():
                 anchor_atom, anchor_var = members[0]

@@ -35,7 +35,7 @@ _TRUE = 1
 _FALSE = -1
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Clause:
     lits: list[int]
     learned: bool = False
@@ -111,8 +111,14 @@ class Solver:
         self._num_vars = 0
         self._clauses: list[_Clause] = []
         self._learned: list[_Clause] = []
-        self._watches: dict[int, list[_Clause]] = {}
-        self._values: list[int] = [_UNASSIGNED]  # 1-indexed by variable
+        # Indexed by *literal*: ``_values[lit]`` is the literal's value.
+        # Negative literals use Python's negative indexing, so the list
+        # keeps ``2 * capacity + 1`` slots and is regrown (rebuilt) when
+        # variables outgrow it; ``_values[var]`` is the variable's value.
+        self._values: list[int] = [_UNASSIGNED] * 33
+        # Watch lists, indexed by literal the same way (None: no list yet).
+        self._watches: list[list[_Clause] | None] = [None] * 33
+        self._capacity = 16
         self._levels: list[int] = [0]
         self._reasons: list[_Clause | None] = [None]
         self._activity: list[float] = [0.0]
@@ -137,7 +143,8 @@ class Solver:
 
     def new_var(self) -> int:
         self._num_vars += 1
-        self._values.append(_UNASSIGNED)
+        if self._num_vars > self._capacity:
+            self._grow()
         self._levels.append(0)
         self._reasons.append(None)
         self._activity.append(0.0)
@@ -147,11 +154,26 @@ class Solver:
         self._order.push(self._num_vars)
         return self._num_vars
 
+    def _grow(self) -> None:
+        old_values, old_watches = self._values, self._watches
+        capacity = self._capacity
+        self._capacity = 2 * capacity
+        values = [_UNASSIGNED] * (2 * self._capacity + 1)
+        watches: list[list[_Clause] | None] = [None] * (2 * self._capacity + 1)
+        for var in range(1, capacity + 1):
+            values[var] = old_values[var]
+            values[-var] = old_values[-var]
+            watches[var] = old_watches[var]
+            watches[-var] = old_watches[-var]
+        self._values = values
+        self._watches = watches
+
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause; duplicates are merged and tautologies dropped."""
         if self._unsat:
             return
-        self._backtrack(0)
+        if self._trail_lim:
+            self._backtrack(0)
         values = self._values
         num_vars = self._num_vars
         unique: list[int] = []
@@ -165,7 +187,7 @@ class Solver:
             if lit in seen:
                 continue
             seen.add(lit)
-            value = values[var] if lit > 0 else -values[var]
+            value = values[lit]
             if value == _TRUE:
                 return  # already satisfied at level 0
             if value == _FALSE:
@@ -271,10 +293,12 @@ class Solver:
                 continue
             lit = self._decide()
             if lit is None:
-                model = {
-                    var: self._values[var] == _TRUE
-                    for var in range(1, self._num_vars + 1)
-                }
+                model = dict(
+                    zip(
+                        range(1, self._num_vars + 1),
+                        map(_TRUE.__eq__, self._values[1 : self._num_vars + 1]),
+                    )
+                )
                 self._backtrack(0)
                 return SatResult(True, model=model)
             self.statistics["decisions"] += 1
@@ -288,10 +312,7 @@ class Solver:
     # ------------------------------------------------------------ internals
 
     def _value(self, lit: int) -> int:
-        value = self._values[abs(lit)]
-        if value == _UNASSIGNED:
-            return _UNASSIGNED
-        return value if lit > 0 else -value
+        return self._values[lit]
 
     def _decision_level(self) -> int:
         return len(self._trail_lim)
@@ -300,8 +321,13 @@ class Solver:
         self._trail_lim.append(len(self._trail))
 
     def _watch(self, clause: _Clause) -> None:
-        self._watches.setdefault(-clause.lits[0], []).append(clause)
-        self._watches.setdefault(-clause.lits[1], []).append(clause)
+        watches = self._watches
+        for lit in (-clause.lits[0], -clause.lits[1]):
+            watch = watches[lit]
+            if watch is None:
+                watches[lit] = [clause]
+            else:
+                watch.append(clause)
 
     def _enqueue(self, lit: int, reason: _Clause | None) -> bool:
         value = self._value(lit)
@@ -310,7 +336,8 @@ class Solver:
         if value == _TRUE:
             return True
         var = abs(lit)
-        self._values[var] = _TRUE if lit > 0 else _FALSE
+        self._values[lit] = _TRUE
+        self._values[-lit] = _FALSE
         self._levels[var] = self._decision_level()
         self._reasons[var] = reason
         self._polarity[var] = lit > 0
@@ -336,47 +363,55 @@ class Solver:
             lit = trail[head]
             head += 1
             propagated += 1
-            watchers = watches.get(lit)
+            watchers = watches[lit]
             if not watchers:
                 continue
             false_lit = -lit
             still_watching: list[_Clause] = []
             keep = still_watching.append
-            index = 0
-            count = len(watchers)
-            while index < count:
-                clause = watchers[index]
-                index += 1
+            # Appends made below go to other literals' lists, never to
+            # ``watchers`` (a clause's literals are distinct), so it can be
+            # iterated directly.  Values are compared as the literals 1
+            # (_TRUE) and -1 (_FALSE).
+            for clause in watchers:
                 lits = clause.lits
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                value = values[first] if first > 0 else -values[-first]
-                if value == _TRUE:
+                if first == false_lit:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_lit
+                value = values[first]
+                if value == 1:
                     keep(clause)
                     continue
-                for slot in range(2, len(lits)):
-                    other = lits[slot]
-                    if (values[other] if other > 0 else -values[-other]) != _FALSE:
-                        lits[1], lits[slot] = other, lits[1]
-                        watch = watches.get(-other)
-                        if watch is None:
-                            watches[-other] = [clause]
-                        else:
-                            watch.append(clause)
-                        break
-                else:
-                    keep(clause)
-                    if value == _FALSE:
-                        conflict = clause
-                        still_watching.extend(watchers[index:])
-                        break
-                    var = first if first > 0 else -first
-                    values[var] = _TRUE if first > 0 else _FALSE
-                    levels[var] = level
-                    reasons[var] = clause
-                    polarity[var] = first > 0
-                    trail.append(first)
+                if len(lits) > 2:
+                    for slot in range(2, len(lits)):
+                        other = lits[slot]
+                        if values[other] != -1:
+                            lits[slot] = lits[1]
+                            lits[1] = other
+                            watch = watches[-other]
+                            if watch is None:
+                                watches[-other] = [clause]
+                            else:
+                                watch.append(clause)
+                            break
+                    else:
+                        other = 0
+                    if other:
+                        continue  # the clause now watches ``other``
+                keep(clause)
+                if value == -1:
+                    conflict = clause
+                    still_watching.extend(watchers[watchers.index(clause) + 1 :])
+                    break
+                values[first] = 1
+                values[-first] = -1
+                var = first if first > 0 else -first
+                levels[var] = level
+                reasons[var] = clause
+                polarity[var] = first > 0
+                trail.append(first)
             watches[lit] = still_watching
             if conflict is not None:
                 self.statistics["propagations"] += propagated
@@ -489,17 +524,18 @@ class Solver:
         boundary = trail_lim[level]
         trail = self._trail
         values = self._values
-        reasons = self._reasons
-        # Unassigned variables go back on the order heap (``_VarHeap.push``
-        # inlined: this runs for every literal ever undone).
+        # Reasons are only read for assigned variables, so they are left
+        # as they are.  Unassigned variables go back on the order heap
+        # (``_VarHeap.push`` inlined: this runs for every literal ever
+        # undone).
         heap = self._order._heap
         position = self._order._position
         activity = self._activity
         for trail_index in range(len(trail) - 1, boundary - 1, -1):
             lit = trail[trail_index]
+            values[lit] = 0  # _UNASSIGNED
+            values[-lit] = 0
             var = lit if lit > 0 else -lit
-            values[var] = _UNASSIGNED
-            reasons[var] = None
             if position[var] >= 0:
                 continue
             index = len(heap)
@@ -600,10 +636,10 @@ class Solver:
         if not dropped_ids:
             return
         self._learned = [c for c in self._learned if id(c) not in dropped_ids]
-        for lit in list(self._watches):
-            self._watches[lit] = [
-                c for c in self._watches[lit] if id(c) not in dropped_ids
-            ]
+        watches = self._watches
+        for index, watch in enumerate(watches):
+            if watch:
+                watches[index] = [c for c in watch if id(c) not in dropped_ids]
 
 
 def _luby(index: int) -> int:
