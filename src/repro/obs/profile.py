@@ -3,15 +3,20 @@
 Every ``query_latency_ms`` sample should decompose into *phases* -- the
 named stages a query's wall time actually goes to:
 
-* ``normalize`` -- NNF/ite-elimination/skolemization (:mod:`..solver.epr`);
-* ``ground``    -- the ground-term universe closure (:mod:`..solver.grounding`);
-* ``cnf``       -- exhaustive instantiation + Tseitin encoding;
-* ``cache``     -- query-cache lookups and stores (:mod:`..solver.cache`);
-* ``sat``       -- CDCL search (:mod:`..solver.sat`);
-* ``theory``    -- congruence closure and MBQI refinement;
-* ``extract``   -- finite-model extraction on SAT;
-* ``ledger``    -- proven-lemma ledger splits (:mod:`..core.induction`);
-* ``transit``   -- pickle/pipe time to and from pool workers, measured by
+* ``normalize``   -- NNF/ite-elimination/skolemization (:mod:`..solver.epr`);
+* ``ground``      -- the ground-term universe closure (:mod:`..solver.grounding`);
+* ``instantiate`` -- exhaustive instantiation fused with Tseitin encoding
+  (the clause templates of :mod:`..solver.template`);
+* ``symmetry``    -- lex-leader symmetry-breaking clauses;
+* ``cache``       -- query-cache lookups and stores (:mod:`..solver.cache`);
+* ``sat``         -- CDCL search (:mod:`..solver.sat`);
+* ``theory``      -- equality-theory set-up, congruence closure and MBQI
+  refinement;
+* ``extract``     -- finite-model extraction on SAT;
+* ``gc``          -- the collection grounding and solving defer while they
+  pause the collector (``solver.epr._gc_paused``);
+* ``ledger``      -- proven-lemma ledger splits (:mod:`..core.induction`);
+* ``transit``     -- pickle/pipe time to and from pool workers, measured by
   the dispatch parent (:mod:`..solver.dispatch`) as observed round-trip
   minus worker-reported wall.
 
@@ -58,8 +63,8 @@ from .metrics import observe as _observe
 
 #: canonical phase order, used by reports for stable column layout
 PHASES = (
-    "normalize", "ground", "cnf", "cache", "sat", "theory", "extract",
-    "ledger", "transit",
+    "normalize", "ground", "instantiate", "symmetry", "cache", "sat",
+    "theory", "extract", "gc", "ledger", "transit",
 )
 
 #: statistics/span-attribute prefix phase timings are published under
@@ -126,8 +131,11 @@ def phase(name: str):
     try:
         yield
     finally:
-        wall_s = time.perf_counter() - wall0
+        # Both CPU-clock reads lie inside the wall interval: reading the
+        # CPU clock is a system call, and a process preempted on its way
+        # back from one would otherwise lose that wait from every phase.
         cpu_s = time.thread_time() - cpu0
+        wall_s = time.perf_counter() - wall0
         if profile is not None:
             profile.add(name, wall_s, cpu_s)
         elif _metrics_enabled():

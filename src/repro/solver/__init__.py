@@ -15,7 +15,7 @@ from .budget import (
     resolve_retries,
 )
 from .cache import DiskCache, QueryCache, install_cache, query_cache
-from .cnf import CnfBuilder, term_key
+from .cnf import CnfBuilder, TermTable, term_key
 from .dispatch import (
     Query,
     query_of,
@@ -27,13 +27,7 @@ from .dispatch import (
 from .epr import EprResult, EprSolver, solve_epr, unknown_result
 from .equality import EqualityTheory
 from .faults import FaultPlan, install_fault_plan, parse_fault_spec
-from .grounding import (
-    GroundingExplosion,
-    check_universe_closed,
-    ground_universe,
-    instantiate_universals,
-    universe_size,
-)
+from .grounding import GroundingExplosion, ground_universe
 from .sat import SatResult, Solver
 
 __all__ = [
@@ -52,11 +46,10 @@ __all__ = [
     "QueryCache",
     "SatResult",
     "Solver",
-    "check_universe_closed",
+    "TermTable",
     "ground_universe",
     "install_cache",
     "install_fault_plan",
-    "instantiate_universals",
     "parse_fault_spec",
     "query_cache",
     "query_of",
@@ -68,6 +61,5 @@ __all__ = [
     "solve_queries",
     "worker_pool",
     "term_key",
-    "universe_size",
     "unknown_result",
 ]

@@ -23,7 +23,9 @@ before step 1; see :mod:`repro.solver.cache`):
    instantiation** (MBQI): they are only instantiated, on demand, over the
    representatives of the current candidate model;
 4. Tseitin-encode the ground instances into a CDCL SAT solver, with one
-   selector literal per *tracked* constraint;
+   selector literal per *tracked* constraint -- steps 3 and 4 are one pass
+   over integer term ids, through each block's clause template
+   (:mod:`repro.solver.template`);
 5. run a CEGAR loop: refute equality-congruence violations (lazy congruence
    closure, :mod:`repro.solver.equality`) and violated lazy universal
    instances until a stable model emerges or the formula is refuted;
@@ -55,20 +57,16 @@ from ..logic import syntax as s
 from ..logic.sorts import FuncDecl, RelDecl, Sort, Vocabulary
 from ..recovery import heartbeat
 from ..logic.structures import Elem, Structure
-from ..logic.subst import FreshNames, substitute
+from ..logic.subst import FreshNames
 from ..logic.transform import eliminate_ite, nnf, skolemize_ea
 from .budget import Budget, BudgetExceeded, BudgetMeter, FailureReason
 from .cache import query_cache
-from .cnf import CnfBuilder, term_key
+from .cnf import CnfBuilder, TermTable, term_key
 from .equality import EqualityTheory
 from .mbqi import CompiledBlock, compile_block
-from .grounding import (
-    GroundingExplosion,
-    ground_universe,
-    instantiate_universals,
-    _miniscope,
-)
+from .grounding import GroundingExplosion, ground_universe, _miniscope
 from .sat import Solver
+from .template import block_template
 
 
 @contextmanager
@@ -80,6 +78,13 @@ def _gc_paused():
     the collector's generation sweeps over the large live heap found
     nothing to reclaim yet cost a fifth of solver time.  Nested uses are
     no-ops, and a collector the caller disabled stays disabled.
+
+    The collection the paused allocations are owed runs on the way out,
+    timed as the ``gc`` phase: the young generation, or the middle one
+    when its own count is past its threshold, as the collector would
+    pick.  Left to the collector, it would run at the first allocation
+    after re-enabling, still inside the caller's query span but outside
+    every phase.
     """
     if not gc.isenabled():
         yield
@@ -88,6 +93,8 @@ def _gc_paused():
     try:
         yield
     finally:
+        with profile.phase("gc"):
+            gc.collect(1 if gc.get_count()[1] > gc.get_threshold()[1] else 0)
         gc.enable()
 
 
@@ -227,6 +234,7 @@ class _LazyBlock:
     matrix: s.Formula
     selector: int | None
     _compiled: object = field(default=None, init=False, repr=False)
+    _template: object = field(default=None, init=False, repr=False)
 
     def scanner(self) -> CompiledBlock | None:
         """The compiled scan, built on the block's first refinement round;
@@ -234,6 +242,12 @@ class _LazyBlock:
         if self._compiled is None:
             self._compiled = compile_block(self.vars, self.matrix) or False
         return self._compiled or None
+
+    def template(self):
+        """The clause template falsified instances are asserted through."""
+        if self._template is None:
+            self._template = block_template(self.vars, self.matrix)
+        return self._template
 
 
 class EprSolver:
@@ -411,9 +425,9 @@ class EprSolver:
                 extra_constants.extend(result.constants)
 
         universe = ground_universe(working_vocab, extra_constants, meter=meter)
-        with profile.phase("cnf"):
+        with profile.phase("theory"):
             sat = Solver()
-            builder = CnfBuilder(sat)
+            builder = CnfBuilder(sat, TermTable(universe))
             equality = EqualityTheory(builder, working_vocab, universe)
         prepared = PreparedEpr(
             self, working_vocab, universe, sat, builder, equality,
@@ -421,7 +435,14 @@ class EprSolver:
         )
         prepared._meter = meter
 
-        with profile.phase("cnf"):
+        # Each block's instances go through its clause template, in
+        # ``itertools.product`` order over the universe's term ids.
+        with profile.phase("instantiate"):
+            term_id = builder.terms.index
+            sort_ids = {
+                sort: [term_id[term] for term in terms]
+                for sort, terms in universe.items()
+            }
             for constraint, universal in skolemized:
                 selector: int | None = None
                 if constraint.tracked:
@@ -440,10 +461,10 @@ class EprSolver:
                     if not vars_:
                         prepared.assert_instance(matrix, selector)
                         continue
-                    domains = [universe[var.sort] for var in vars_]
-                    for combo in itertools.product(*domains):
-                        instance = substitute(matrix, dict(zip(vars_, combo)))
-                        prepared.assert_instance(instance, selector)
+                    domains = [sort_ids[var.sort] for var in vars_]
+                    block_template(tuple(vars_), matrix)(
+                        prepared, itertools.product(*domains), selector
+                    )
         self._break_symmetries(prepared, working_vocab)
         prepared._meter = None
         return prepared
@@ -469,14 +490,14 @@ class EprSolver:
 
         if self.canonical_models or not symmetry_enabled():
             return
-        formulas = [constraint.formula for constraint in self._constraints]
-        orbits = query_orbits(working_vocab, formulas)
-        if not orbits:
-            return
-        used: set = set()
-        for formula in formulas:
-            used.update(s.symbols_of(formula))
-        with profile.phase("cnf"):
+        with profile.phase("symmetry"):
+            formulas = [constraint.formula for constraint in self._constraints]
+            orbits = query_orbits(working_vocab, formulas)
+            if not orbits:
+                return
+            used: set = set()
+            for formula in formulas:
+                used.update(s.symbols_of(formula))
             count = 0
             for constraint in lex_leader_constraints(orbits, working_vocab, used):
                 if prepared.assert_instance(constraint, None):
@@ -509,16 +530,15 @@ class EprSolver:
 
     def _refine_lazy(
         self,
-        lazy_blocks: list[_LazyBlock],
-        universe: Mapping[Sort, list[s.Term]],
+        prepared: "PreparedEpr",
         reps: Mapping[s.Term, s.Term],
-        builder: CnfBuilder,
         model: dict[int, bool],
-        assert_instance,
-        meter: BudgetMeter | None = None,
     ) -> int:
         """Instantiate lazy universal blocks over the model's representatives,
-        asserting every instance the current model falsifies."""
+        asserting every instance the current model falsifies through the
+        block's clause template."""
+        universe, builder = prepared.universe, prepared.builder
+        meter = prepared._meter
         rep_terms: dict[Sort, list[s.Term]] = {}
         for sort, terms in universe.items():
             rep_terms[sort] = sorted({reps[t] for t in terms}, key=term_key)
@@ -530,6 +550,8 @@ class EprSolver:
         # ids (see :mod:`repro.solver.mbqi`).
         rep_list = [rep for terms in rep_terms.values() for rep in terms]
         rep_id = {rep: index for index, rep in enumerate(rep_list)}
+        term_id = builder.terms.index
+        to_term_id = [term_id[rep] for rep in rep_list].__getitem__
         true_ids: dict[RelDecl, set] = {}
         true_atoms: list[s.Rel] = []
         for atom, var in builder.atoms.items():
@@ -546,7 +568,7 @@ class EprSolver:
         no_facts: frozenset = frozenset()
         counter = [0]  # evaluated combinations, for the deadline checks
         added = 0
-        for block in lazy_blocks:
+        for block in prepared.lazy_blocks:
             if block.selector is not None and not model.get(block.selector, False):
                 continue  # tracked constraint currently disabled
             compiled = block.scanner()
@@ -563,8 +585,7 @@ class EprSolver:
                         for atom in true_atoms
                     }
                 added += self._refine_interpreted(
-                    block, rep_terms, reps, true_canon, assert_instance,
-                    meter, counter,
+                    block, prepared, rep_terms, reps, true_canon, counter
                 )
                 continue
             missing = [func for func in compiled.funcs if func not in func_tables]
@@ -578,11 +599,11 @@ class EprSolver:
                 meter,
                 counter,
             )
-            for combo in falsified:
-                env = {var: rep_list[i] for var, i in zip(block.vars, combo)}
-                instance = substitute(block.matrix, env)
-                if assert_instance(instance, block.selector):
-                    added += 1
+            added += block.template()(
+                prepared,
+                (tuple(map(to_term_id, combo)) for combo in falsified),
+                block.selector,
+            )
         return added
 
     @staticmethod
@@ -608,23 +629,24 @@ class EprSolver:
         return tables
 
     def _refine_interpreted(
-        self, block, rep_terms, reps, true_canon, assert_instance, meter, counter
+        self, block, prepared, rep_terms, reps, true_canon, counter
     ) -> int:
         """The AST-walking scan of one block: the reference the compiled
         scan agrees with, and the fallback for matrices it cannot take."""
-        added = 0
-        domains = [rep_terms[var.sort] for var in block.vars]
-        for combo in itertools.product(*domains):
-            counter[0] += 1
-            if meter is not None and counter[0] % 256 == 0:
-                meter.check_deadline()
-            env = dict(zip(block.vars, combo))
-            if self._eval_in_env(block.matrix, env, true_canon, reps):
-                continue
-            instance = substitute(block.matrix, env)
-            if assert_instance(instance, block.selector):
-                added += 1
-        return added
+        meter = prepared._meter
+        term_id = prepared.builder.terms.index
+
+        def falsified():
+            domains = [rep_terms[var.sort] for var in block.vars]
+            for combo in itertools.product(*domains):
+                counter[0] += 1
+                if meter is not None and counter[0] % 256 == 0:
+                    meter.check_deadline()
+                env = dict(zip(block.vars, combo))
+                if not self._eval_in_env(block.matrix, env, true_canon, reps):
+                    yield tuple(term_id[term] for term in combo)
+
+        return block.template()(prepared, falsified(), block.selector)
 
     def _term_rep(
         self, term: s.Term, env: Mapping[s.Var, s.Term], reps: Mapping[s.Term, s.Term]
@@ -647,8 +669,8 @@ class EprSolver:
         """Evaluate a QF matrix in the candidate quotient model under ``env``.
 
         Relation atoms with no true representative-signature atom default to
-        false, matching model extraction.  Avoids building substituted ASTs:
-        only instances found violated get materialized.
+        false, matching model extraction.  Builds no substituted AST: only
+        the falsified combinations are asserted, through the template.
         """
         if isinstance(formula, s.Rel):
             signature = tuple(self._term_rep(arg, env, reps) for arg in formula.args)
@@ -805,7 +827,8 @@ class PreparedEpr:
         self.selectors: dict[int, str] = {}
         self.selector_of: dict[str, int] = {}
         self.lazy_blocks: list[_LazyBlock] = []
-        self._asserted: set[s.Formula] = set()
+        #: formula ids of the instances asserted without a selector
+        self._asserted: set[int] = set()
         self.instance_count = 0
         self.symmetry_orbits = 0  # orbits broken at grounding time
         self._digest = ""  # the owner's input digest, set by prepare()
@@ -815,13 +838,23 @@ class PreparedEpr:
         self._pending_phases: dict[str, int] = {}  # prepare phases, unreported
 
     def assert_instance(self, instance: s.Formula, selector: int | None) -> bool:
+        """Assert a ground formula given as an AST (a block without
+        variables, a lex-leader constraint); False for a duplicate.
+
+        Interning an instance asserted before encodes nothing new, so the
+        duplicate test can follow it.
+        """
         if self._meter is not None:
             self._meter.charge_instances()
+        builder = self.builder
+        fid = builder.intern(instance)
         if selector is None:
-            if instance in self._asserted:
+            if fid in self._asserted:
                 return False
-            self._asserted.add(instance)
-        self.builder.assert_formula(instance, selector)
+            self._asserted.add(fid)
+            builder.solver.add_clause([builder.lits[fid]])
+        else:
+            builder.solver.add_clause([-selector, builder.lits[fid]])
         self.instance_count += 1
         return True
 
@@ -851,10 +884,10 @@ class PreparedEpr:
                 profile.publish(prof)
                 statistics.update(phases)
             if self._pending_phases:
-                # Prepare-time phases (normalize/ground/cnf) ride the first
-                # solved query's statistics; they are not set on this span
-                # -- they already live on the epr.prepare span, and
-                # hotspot reports sum phases across both span kinds.
+                # Prepare-time phases (normalize, ground, instantiate...)
+                # ride the first solved query's statistics; they are not set
+                # on this span -- they already live on the epr.prepare span,
+                # and hotspot reports sum phases across both span kinds.
                 statistics.update(self._pending_phases)
                 self._pending_phases = {}
             sp.set(
@@ -975,10 +1008,7 @@ class PreparedEpr:
                         counters["congruence"] += 1
                 continue
             with profile.phase("theory"):
-                new_instances = owner._refine_lazy(
-                    self.lazy_blocks, self.universe, reps, self.builder,
-                    result.model, self.assert_instance, meter=self._meter,
-                )
+                new_instances = owner._refine_lazy(self, reps, result.model)
             if new_instances:
                 counters["lazy"] += new_instances
                 continue

@@ -52,15 +52,13 @@ class EqualityTheory:
         self.builder = builder
         self.vocab = vocab
         self.universe = {sort: list(terms) for sort, terms in universe.items()}
-        # Universe terms numbered in universe order; relation atoms keep
-        # their argument numbers so congruence checks compare small ints.
-        self._terms: list[s.Term] = []
-        self._term_index: dict[s.Term, int] = {}
-        for terms in self.universe.values():
-            for term in terms:
-                if term not in self._term_index:
-                    self._term_index[term] = len(self._terms)
-                    self._terms.append(term)
+        # The builder's term numbering (universe terms first, in universe
+        # order); relation atoms keep their argument numbers so congruence
+        # checks compare small ints.
+        table = builder.terms
+        table.add_universe(self.universe)
+        self._terms: list[s.Term] = table.terms
+        self._term_index: dict[s.Term, int] = table.index
         # The builder's atoms split by kind, in creation order.  Atoms are
         # only ever added, so each refinement round indexes just the new
         # ones instead of rescanning every relation atom.

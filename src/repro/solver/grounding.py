@@ -10,22 +10,21 @@ quantifier over that finite universe yields an equisatisfiable ground
 formula, and the finite model property holds with the universe as domain
 bound.
 
-This module computes the ground-term universe and the exhaustive
-instantiation.  The equality theory over ground terms lives in
-:mod:`repro.solver.equality`.
+This module computes the ground-term universe and miniscopes universal
+formulas into blocks; the clause templates of :mod:`repro.solver.template`
+instantiate each block over the universe.  The equality theory over ground
+terms lives in :mod:`repro.solver.equality`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .. import obs
 from ..logic import syntax as s
-from ..logic.sorts import FuncDecl, Sort, StratificationError, Vocabulary
-from ..logic.subst import substitute
+from ..logic.sorts import FuncDecl, Sort, Vocabulary
 from ..obs import profile
-from ..recovery import heartbeat
 from .budget import BudgetMeter
 
 
@@ -94,10 +93,6 @@ def _ground_universe(
     return universe
 
 
-def universe_size(universe: Mapping[Sort, list[s.Term]]) -> int:
-    return sum(len(terms) for terms in universe.values())
-
-
 def universe_estimate(vocab: Vocabulary) -> dict[str, int]:
     """Per-sort ground-universe sizes for a query with no Skolem constants.
 
@@ -111,44 +106,16 @@ def universe_estimate(vocab: Vocabulary) -> dict[str, int]:
     return {sort.name: len(terms) for sort, terms in universe.items()}
 
 
-def instantiate_universals(
-    formula: s.Formula,
-    universe: Mapping[Sort, list[s.Term]],
-    max_instances: int = 500_000,
-) -> Iterator[s.Formula]:
-    """All ground instances of a closed ``forall* QF`` (or ground) formula.
-
-    The input is the output of skolemization: either quantifier free or a
-    single block of universal quantifiers over a QF matrix.  Before
-    enumerating, the block is *miniscoped*: ``forall x. (p & q)`` splits into
-    ``forall x. p`` and ``forall x. q``, and each conjunct keeps only the
-    variables it actually mentions.  Axioms are conjunctions of small
-    universal clauses, so this turns one cross product over the union of all
-    their variables into several small ones.
-    """
-    if s.free_vars(formula):
-        raise ValueError(f"formula is not closed: {formula}")
-    for vars_, matrix in _miniscope(formula):
-        if any(isinstance(sub, (s.Forall, s.Exists)) for sub in _subformulas(matrix)):
-            raise ValueError("expected a single universal block over a QF matrix")
-        domains = [universe[var.sort] for var in vars_]
-        count = 1
-        for domain in domains:
-            count *= len(domain)
-        if count > max_instances:
-            raise GroundingExplosion(
-                f"universal instantiation would create {count} instances"
-            )
-        if not vars_:
-            yield matrix
-            continue
-        for combo in itertools.product(*domains):
-            heartbeat.beat()  # large products must still look alive
-            yield substitute(matrix, dict(zip(vars_, combo)))
-
-
 def _miniscope(formula: s.Formula) -> Iterator[tuple[tuple[s.Var, ...], s.Formula]]:
-    """Yield (variables, matrix) pairs covering ``formula`` conjunctively."""
+    """Yield (variables, matrix) pairs covering ``formula`` conjunctively.
+
+    ``formula`` is the output of skolemization: quantifier free, or
+    universal blocks over quantifier-free matrices.  Miniscoping splits
+    ``forall x. (p & q)`` into ``forall x. p`` and ``forall x. q``, and each
+    conjunct keeps only the variables it actually mentions.  Axioms are
+    conjunctions of small universal clauses, so this turns one cross
+    product over the union of all their variables into several small ones.
+    """
     if isinstance(formula, s.And):
         for arg in formula.args:
             yield from _miniscope(arg)
@@ -161,34 +128,3 @@ def _miniscope(formula: s.Formula) -> Iterator[tuple[tuple[s.Var, ...], s.Formul
             yield outer + vars_, matrix
         return
     yield (), formula
-
-
-def _subformulas(formula: s.Formula) -> Iterator[s.Formula]:
-    yield formula
-    if isinstance(formula, s.Not):
-        yield from _subformulas(formula.arg)
-    elif isinstance(formula, (s.And, s.Or)):
-        for arg in formula.args:
-            yield from _subformulas(arg)
-    elif isinstance(formula, (s.Implies, s.Iff)):
-        yield from _subformulas(formula.lhs)
-        yield from _subformulas(formula.rhs)
-    elif isinstance(formula, (s.Forall, s.Exists)):
-        yield from _subformulas(formula.body)
-
-
-def check_universe_closed(
-    vocab: Vocabulary, universe: Mapping[Sort, list[s.Term]]
-) -> None:
-    """Sanity check: the universe is closed under every proper function.
-
-    Raises :class:`StratificationError`-adjacent assertion failures early
-    rather than producing silently incomplete instantiation.
-    """
-    term_sets = {sort: set(terms) for sort, terms in universe.items()}
-    for func in vocab.proper_functions():
-        for args in itertools.product(*(universe[arg] for arg in func.arg_sorts)):
-            if s.App(func, tuple(args)) not in term_sets[func.sort]:
-                raise StratificationError(
-                    f"universe not closed under {func.name!r}"
-                )

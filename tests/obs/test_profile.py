@@ -103,9 +103,9 @@ class TestPhaseProfile:
         prof = profile.PhaseProfile()
         prof.add("sat", 0.010, 0.008)
         prof.add("sat", 0.005, 0.004)
-        prof.add("cnf", 0.001, 0.001)
+        prof.add("instantiate", 0.001, 0.001)
         assert prof.wall["sat"] == pytest.approx(0.015)
-        assert prof.counts == {"sat": 2, "cnf": 1}
+        assert prof.counts == {"sat": 2, "instantiate": 1}
         assert prof.total_wall() == pytest.approx(0.016)
 
     def test_attrs_ms_keeps_submillisecond_precision(self):
@@ -117,8 +117,8 @@ class TestPhaseProfile:
         assert attrs["phase_ground_cpu_ms"] == pytest.approx(0.3)
 
     def test_phase_names_are_canonical(self):
-        for name in ("normalize", "ground", "cnf", "cache", "sat",
-                     "theory", "extract", "ledger", "transit"):
+        for name in ("normalize", "ground", "instantiate", "symmetry", "cache",
+                     "sat", "theory", "extract", "gc", "ledger", "transit"):
             assert name in profile.PHASES
 
 
@@ -145,9 +145,9 @@ class TestCollectAndPhase:
         registry = obs.MetricsRegistry()
         obs.install_metrics(registry)
         prof = profile.PhaseProfile()
-        prof.add("cnf", 0.002, 0.002)
+        prof.add("instantiate", 0.002, 0.002)
         profile.publish(prof)
-        key = "query_phase_ms{phase=cnf}"
+        key = "query_phase_ms{phase=instantiate}"
         snap = registry.to_dict()["histograms"][key]
         assert snap["count"] == 1 and snap["sum"] == pytest.approx(2.0)
 
@@ -192,7 +192,9 @@ class TestSolverIntegration:
             key for key in result.statistics
             if key.startswith(profile.ATTR_PREFIX)
         ]
-        assert any(key == "phase_cnf_ms" for key in phase_keys)
+        assert any(key == "phase_instantiate_ms" for key in phase_keys)
+        assert any(key == "phase_theory_ms" for key in phase_keys)
+        assert any(key == "phase_gc_ms" for key in phase_keys)
         assert any(key == "phase_normalize_ms" for key in phase_keys)
 
 

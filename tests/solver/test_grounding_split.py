@@ -1,6 +1,8 @@
 """Grounding: stratified universes, miniscoped instantiation, and the
 disjunct-splitting / skolem-sharing preprocessing."""
 
+import itertools
+
 import pytest
 
 from repro.logic import (
@@ -19,13 +21,11 @@ from repro.logic import (
     vocabulary,
 )
 from repro.logic.syntax import App, Rel, free_vars
-from repro.solver.grounding import (
-    GroundingExplosion,
-    check_universe_closed,
-    ground_universe,
-    instantiate_universals,
-    universe_size,
-)
+from repro.solver import Budget, EprSolver, FailureReason
+from repro.solver.cnf import CnfBuilder, TermTable
+from repro.solver.grounding import GroundingExplosion, _miniscope, ground_universe
+from repro.solver.sat import Solver
+from repro.solver.template import block_template
 from repro.solver.split import (
     DisjunctSplitter,
     SkolemPool,
@@ -53,7 +53,9 @@ class TestGroundUniverse:
         # id terms: a default constant (the sort declares none) plus
         # idn(n0), idn(n1) from the stratified closure.
         assert len(universe[ident]) == 3
-        check_universe_closed(VOCAB, universe)
+        for func in VOCAB.proper_functions():
+            for args in itertools.product(*(universe[a] for a in func.arg_sorts)):
+                assert App(func, args) in universe[func.sort]
 
     def test_empty_sort_gets_default(self):
         vocab = vocabulary(sorts=[node], relations=[p])
@@ -65,7 +67,7 @@ class TestGroundUniverse:
         universe = ground_universe(VOCAB, [sk])
         assert len(universe[node]) == 3
         assert len(universe[ident]) == 4  # default + idn over three nodes
-        assert universe_size(universe) == 7
+        assert sum(len(terms) for terms in universe.values()) == 7
 
     def test_explosion_guard(self):
         big = FuncDecl("pair", (node, node), ident)
@@ -75,42 +77,61 @@ class TestGroundUniverse:
             ground_universe(vocab, consts, max_terms_per_sort=1000)
 
 
+class _Grounding:
+    """What the clause templates assert for each miniscoped block."""
+
+    def __init__(self, formula, selector=False):
+        universe = ground_universe(VOCAB)
+        self.builder = CnfBuilder(Solver(), TermTable(universe))
+        self._meter = None
+        self._asserted = set()
+        self.instance_count = 0
+        self.blocks = list(_miniscope(formula))
+        sel = self.builder.solver.new_var() if selector else None
+        ids = self.builder.terms.index
+        for vars_, matrix in self.blocks:
+            domains = [[ids[t] for t in universe[v.sort]] for v in vars_]
+            block_template(vars_, matrix)(self, itertools.product(*domains), sel)
+
+
 class TestInstantiation:
     def test_miniscoping_splits_conjuncts(self):
         X, Y = Var("X", node), Var("Y", node)
         formula = forall((X, Y), and_(Rel(p, (X,)), Rel(p, (Y,))))
-        universe = ground_universe(VOCAB)
-        instances = list(instantiate_universals(formula, universe))
+        grounding = _Grounding(formula, selector=True)
+        assert grounding.blocks == [((X,), Rel(p, (X,))), ((Y,), Rel(p, (Y,)))]
         # Without miniscoping: 2*2 = 4 instances of a conjunction; with it:
-        # 2 + 2 single-atom instances.
-        assert len(instances) == 4
-        assert all(isinstance(i, Rel) for i in instances)
+        # 2 + 2 single-atom instances, and no Tseitin definitions.
+        assert grounding.instance_count == 4
+        assert grounding.builder.solver.num_vars == 1 + 2  # selector, atoms
 
     def test_unused_variable_dropped(self):
         X, Y = Var("X", node), Var("Y", node)
         formula = forall((X, Y), Rel(p, (X,)))
-        universe = ground_universe(VOCAB)
-        instances = set(instantiate_universals(formula, universe))
-        assert len(instances) == 2
+        grounding = _Grounding(formula)
+        assert grounding.blocks == [((X,), Rel(p, (X,)))]
+        assert grounding.instance_count == 2
 
     def test_disjunction_not_split(self):
         X, Y = Var("X", node), Var("Y", node)
         formula = forall((X, Y), or_(Rel(p, (X,)), Rel(p, (Y,))))
-        universe = ground_universe(VOCAB)
-        instances = list(instantiate_universals(formula, universe))
-        assert len(instances) == 4
+        grounding = _Grounding(formula)
+        assert len(grounding.blocks) == 1
+        assert grounding.instance_count == 4
 
     def test_instance_cap(self):
         X, Y = Var("X", node), Var("Y", node)
         formula = forall((X, Y), or_(Rel(p, (X,)), Rel(p, (Y,))))
-        universe = ground_universe(VOCAB)
-        with pytest.raises(GroundingExplosion):
-            list(instantiate_universals(formula, universe, max_instances=3))
+        solver = EprSolver(VOCAB, budget=Budget(instances=3))
+        solver.add(formula)
+        result = solver.check()
+        assert result.unknown
+        assert result.failure is FailureReason.GROUNDING_BLOWUP
 
     def test_open_formula_rejected(self):
-        X = Var("X", node)
+        X, Y = Var("X", node), Var("Y", node)
         with pytest.raises(ValueError, match="closed"):
-            list(instantiate_universals(Rel(p, (X,)), ground_universe(VOCAB)))
+            block_template((Y,), Rel(p, (X,)))
 
 
 class TestHoisting:

@@ -207,6 +207,56 @@ class TestCompiledScan:
         assert compile_block((x,), s.Forall((y,), s.Rel(p, (y,)))) is None
 
 
+class TestLazyTemplates:
+    """Falsified lazy instances asserted through the clause templates
+    against the AST path (``substitute`` plus an AST-keyed encoder): the
+    same clauses in the same order, hence the same solves."""
+
+    @pytest.mark.parametrize("protocol", ["leader_election", "lock_server", "db_chain"])
+    @pytest.mark.parametrize("compiled_scan", [True, False])
+    def test_same_solves_as_ast_path(self, protocol, compiled_scan, monkeypatch):
+        import hashlib
+
+        from repro.protocols import ALL_PROTOCOLS
+        from repro.solver import epr, install_cache
+
+        from .ast_grounding import RecordingSolver, ast_grounding
+
+        bundle = ALL_PROTOCOLS[protocol].build()
+        vcs = [o.vc for o in obligations(bundle.program, list(bundle.safety))]
+
+        def run():
+            outcomes = []
+            for vc in vcs:
+                solver = EprSolver(bundle.program.vocab, eager_threshold=0)
+                solver.add(vc, name="vc")
+                prepared = solver.prepare()
+                result = prepared.solve()
+                counters = {
+                    key: value
+                    for key, value in result.statistics.items()
+                    if not key.endswith("_ms")
+                }
+                log = hashlib.sha256(repr(prepared.sat.log).encode()).hexdigest()
+                atoms = list(prepared.builder.atoms.items())
+                outcomes.append(
+                    (result.satisfiable, counters, str(result.model), log, atoms)
+                )
+            return outcomes
+
+        old_cache = install_cache(None)  # every check below really solves
+        try:
+            monkeypatch.setattr(epr, "Solver", RecordingSolver)
+            if not compiled_scan:
+                monkeypatch.setattr(epr, "compile_block", lambda vars_, matrix: None)
+            templates = run()
+            with ast_grounding(monkeypatch):
+                assert run() == templates
+        finally:
+            install_cache(old_cache)
+        assert any(counters["lazy_instances"] for _, counters, *_ in templates)
+
+
 def vocabulary_of(sort, relations, functions):
     from repro.logic import vocabulary
 
