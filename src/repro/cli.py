@@ -20,9 +20,7 @@ Subcommands mirror the paper's workflow:
   ``--format text|json|sarif``;
 * ``report <trace.jsonl>`` -- render the per-phase / per-query breakdown
   of a trace produced with ``--trace`` (``--hotspots`` for the
-  phase-decomposition profiler view);
-* ``bench diff <A> <B>`` -- the noise-aware ``BENCH_*.json`` regression
-  gate (see :mod:`repro.obs.benchcmp`).
+  phase-decomposition profiler view).
 
 The solving subcommands run the same analysis as a pre-flight: a program
 whose VCs leave the decidable fragment fails fast with exit code 2 and a
@@ -829,20 +827,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_diff(args: argparse.Namespace) -> int:
-    from .obs.benchcmp import DEFAULT_FLOOR_S, DEFAULT_MAX_RATIO
-
-    return obs.benchcmp.diff_files(
-        args.baseline,
-        args.candidate,
-        max_ratio=(
-            args.max_ratio if args.max_ratio is not None else DEFAULT_MAX_RATIO
-        ),
-        floor_s=args.floor_s if args.floor_s is not None else DEFAULT_FLOOR_S,
-        report_only=args.report_only,
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
     parser = argparse.ArgumentParser(
@@ -1087,30 +1071,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="queries to list in the --hotspots view (default: 10)",
     )
     report.set_defaults(func=cmd_report)
-
-    bench = commands.add_parser(
-        "bench", help="benchmark telemetry tooling (BENCH_*.json)"
-    )
-    bench_commands = bench.add_subparsers(dest="bench_command", required=True)
-    bench_diff = bench_commands.add_parser(
-        "diff", help="diff two BENCH_*.json files with noise-aware thresholds"
-    )
-    bench_diff.add_argument("baseline", help="committed baseline BENCH file")
-    bench_diff.add_argument("candidate", help="freshly generated BENCH file")
-    bench_diff.add_argument(
-        "--max-ratio", type=float, default=None, metavar="R",
-        help="relative growth allowed before a timing regresses "
-             "(default: 1.6x)",
-    )
-    bench_diff.add_argument(
-        "--floor-s", type=float, default=None, metavar="S",
-        help="absolute seconds of growth always tolerated (default: 0.25s)",
-    )
-    bench_diff.add_argument(
-        "--report-only", action="store_true",
-        help="print the report but always exit 0 (PR-gate mode)",
-    )
-    bench_diff.set_defaults(func=cmd_bench_diff)
 
     resume = commands.add_parser(
         "resume", help="resume a killed run from its run directory"

@@ -15,9 +15,7 @@ The layers, all zero-dependency:
   cache, and transit time (always on);
 * :mod:`repro.obs.report` -- offline rendering of a trace into the
   per-protocol / per-phase / per-query breakdown (``repro report``) and
-  the phase-decomposition hotspot view (``--hotspots``);
-* :mod:`repro.obs.benchcmp` -- the noise-aware BENCH_*.json regression
-  gate (``repro bench diff``, ``benchmarks/compare.py``).
+  the phase-decomposition hotspot view (``--hotspots``).
 
 Engines and solvers instrument through the guarded helpers re-exported
 here (``obs.span``, ``obs.point``, ``obs.inc``, ``obs.observe``): with no
@@ -26,7 +24,7 @@ untraced runs pay effectively nothing.  The CLI installs the layers from
 ``--trace`` / ``--metrics`` / ``--stats`` / ``--progress``.
 """
 
-from . import benchcmp, profile
+from . import profile
 from .metrics import (
     Counter,
     Gauge,
@@ -85,7 +83,6 @@ __all__ = [
     "Tracer",
     "active_tracer",
     "begin_span",
-    "benchcmp",
     "build_tree",
     "count_engine_queries",
     "current_span_id",

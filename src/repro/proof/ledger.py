@@ -41,6 +41,7 @@ re-proving, never to a wrong answer or a crash.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -124,8 +125,13 @@ def ledger_key(
     ).hexdigest()
 
 
+@functools.cache
 def git_rev() -> str | None:
-    """The current git revision, best effort (provenance only)."""
+    """The current git revision, best effort (provenance only).
+
+    Resolved once per process: every recorded obligation carries it, and
+    one ``git`` subprocess per record would cost more than the record.
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],

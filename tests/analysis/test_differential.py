@@ -68,8 +68,9 @@ class TestSliceDifferential:
                 "solver_work_total", counter="instances"
             ).value
 
+        # Slicing must cut grounded instances by at least 30% on each.
         sliced, full = instances(True), instances(False)
-        assert 0 < sliced < full, (sliced, full)
+        assert 0 < sliced <= 0.7 * full, (sliced, full)
 
     def test_cti_identical_on_weakened_invariant(self, monkeypatch):
         """A failing check must show the same CTI with and without slicing.

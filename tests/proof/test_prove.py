@@ -153,6 +153,26 @@ def test_diamond_obligations_discharged_exactly_once(tmp_path):
     assert prove(plan, ledger=ledger).queries == 0
 
 
+def test_cold_prove_resolves_the_git_revision_once(tmp_path, bundle, monkeypatch):
+    import subprocess
+
+    from repro.proof import ledger as ledger_module
+
+    real_run = subprocess.run
+    git_calls = []
+
+    def counting_run(argv, *args, **kwargs):
+        if argv and argv[0] == "git":
+            git_calls.append(argv)
+        return real_run(argv, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    ledger_module.git_rev.cache_clear()
+    report = prove(plan_of(bundle.program), ledger=Ledger(str(tmp_path)))
+    assert report.ok and report.queries > 1
+    assert len(git_calls) <= 1, git_calls
+
+
 def test_prove_without_ledger_solves_every_time(bundle):
     plan = plan_of(bundle.program)
     first = prove(plan)
