@@ -10,8 +10,8 @@ Beyond fragment checks, the semantic layer (:mod:`repro.analysis.deps`,
 :mod:`repro.analysis.symmetry`) computes per-transition/per-formula
 footprints, the program dependency graph, cone-of-influence VC slices,
 and sort-interchangeability reports -- consumed by the engines (slicing),
-the solver (symmetry breaking), the lint rules RML108-RML111/RML306, and
-the ``repro analyze`` subcommand.
+the lint rules RML108-RML111/RML306, and the ``repro analyze``
+subcommand.
 
 Layering: this ``__init__`` (and the modules it imports -- ``diagnostics``,
 ``qag``, ``sarif``) depends only on :mod:`repro.logic`, because

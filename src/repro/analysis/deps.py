@@ -29,13 +29,13 @@ sort and the closure treats any shared sort with such a conjunct as a
 connection, so those hypotheses are never sliced away from formulas that
 touch the sort.
 
-This module depends only on the logic and rml layers; the solver and the
+This module depends only on the logic and rml layers (and on
+:func:`repro.solver.budget.env_flag` to read ``REPRO_SLICE``); the
 engines import *it*, never the reverse.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -54,6 +54,7 @@ from ..rml.ast import (
     assigned_symbols,
     subcommands,
 )
+from ..solver.budget import env_flag
 
 Decl = RelDecl | FuncDecl
 
@@ -65,9 +66,7 @@ BOTH = 0
 
 def slicing_enabled() -> bool:
     """Is cone-of-influence slicing on?  ``REPRO_SLICE`` gates it, default on."""
-    return os.environ.get("REPRO_SLICE", "1").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
+    return env_flag("REPRO_SLICE", True)
 
 
 # ------------------------------------------------------------------ footprints

@@ -61,7 +61,7 @@ CODES: dict[str, tuple[Severity, str]] = {
     "RML108": (Severity.WARNING, "transition writes a relation no invariant or property reads"),
     "RML109": (Severity.WARNING, "invariant mentions a symbol no transition touches"),
     "RML110": (Severity.WARNING, "axiom is disconnected from the proof goal"),
-    "RML111": (Severity.WARNING, "sort is one blocker away from symmetry-breaking eligibility"),
+    "RML111": (Severity.WARNING, "sort is one blocker from interchangeable"),
     # Decidability analysis.
     "RML201": (Severity.ERROR, "quantifier-alternation graph has a cycle (VC outside EPR)"),
     # Proof management (named invariants, proof declarations, the proof DAG).
@@ -97,10 +97,6 @@ class Diagnostic:
     span: Span | None = None
     notes: tuple[Note, ...] = ()
     origin: str = "<program>"
-
-    @property
-    def rule_description(self) -> str:
-        return CODES[self.code][1] if self.code in CODES else self.message
 
     def with_origin(self, origin: str) -> "Diagnostic":
         return replace(self, origin=origin)

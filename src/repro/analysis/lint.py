@@ -13,7 +13,7 @@ from ``repro.analysis.__init__`` (see the layering note there); use
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ..logic import syntax as s
 from ..logic.lexer import Span
@@ -460,7 +460,7 @@ def _disconnected_axioms(program: Program, sink: Diagnostics) -> None:
 
 
 def _symmetry_near_misses(program: Program, sink: Diagnostics) -> None:
-    """RML111: a sort misses symmetry-breaking eligibility by one blocker."""
+    """RML111: a sort is one blocker from interchangeable."""
     from .symmetry import analyze_program_symmetry
 
     for report in analyze_program_symmetry(program):
@@ -469,8 +469,7 @@ def _symmetry_near_misses(program: Program, sink: Diagnostics) -> None:
             sink.emit(
                 "RML111",
                 f"sort {report.sort.name!r} would be interchangeable "
-                f"(symmetry-breaking eligible) but for one blocker: "
-                f"{blocker.reason}",
+                f"but for one blocker: {blocker.reason}",
                 span=blocker.span,
             )
 
@@ -495,13 +494,3 @@ def _unproved_invariants(program: Program, sink: Diagnostics) -> None:
                 "proof declaration",
                 span=invariant.span or s.span_of(invariant.formula),
             )
-
-
-def lint_many(
-    programs: Iterable[tuple[str, Program]],
-) -> tuple[Diagnostic, ...]:
-    """Lint several programs, tagging diagnostics with each one's origin."""
-    out: list[Diagnostic] = []
-    for origin, program in programs:
-        out.extend(lint_program(program, origin=origin))
-    return tuple(out)

@@ -1,69 +1,28 @@
-"""Sort-symmetry detection and symmetry-breaking constraint emission.
+"""Program-level sort-symmetry detection.
 
-Two levels, matching how Finite Model Finding for Parameterized
-Verification uses symmetry:
+A sort is *interchangeable* when its elements are indistinguishable by
+the program text -- no constant of the sort occurs in any formula, no
+declared relation takes two or more arguments of the sort (such a
+relation can order it), and no proper function touches it.  This is the
+symmetry notion of Finite Model Finding for Parameterized Verification.
+:func:`analyze_program_symmetry` records every violation as a
+:class:`Blocker` with a provenance span, so ``repro analyze`` can report
+it and RML111 can name the single offending literal when a sort is one
+blocker from interchangeable.  The report is static: the solver never
+reads it.
 
-* **Program level** (:func:`analyze_program_symmetry`): a sort is
-  *interchangeable* when its elements are indistinguishable by the
-  program text -- no constant of the sort occurs in any formula, no
-  declared relation takes two or more arguments of the sort (such a
-  relation can order it), and no proper function touches it.  Every
-  violation is recorded as a :class:`Blocker` with a provenance span, so
-  RML111 can name the single offending literal when a sort *just* misses
-  eligibility.
-
-* **Query level** (:func:`query_orbits` / :func:`lex_leader_constraints`):
-  at grounding time, declared constants that occur in *no* constraint
-  formula are pairwise interchangeable within their sort -- any
-  permutation of them extends to an automorphism of the ground term
-  algebra that maps the instance set to itself, so restricting models to
-  lexicographic leaders preserves satisfiability.  We emit the standard
-  lex-leader chain over the tuple of unary-relation memberships for
-  adjacent constants in each orbit: for ``c_i, c_{i+1}`` and unary
-  relations ``r_1 < ... < r_k`` on the sort,
-
-      /\\_j  (/\\_{l<j} r_l(c_i) <-> r_l(c_{i+1}))  ->  (r_j(c_{i+1}) -> r_j(c_i))
-
-  i.e. the membership tuple of ``c_i`` is lexicographically >= that of
-  ``c_{i+1}``.  Only unary columns are used: since *any* permutation of
-  the orbit is an automorphism, every model can be reordered so those
-  tuples are non-increasing, which makes the unary chain sound on its
-  own.  Orbits on sorts with an occurring same-sort binary relation or a
-  touching proper function are skipped conservatively.
-
-Gated by ``REPRO_SYMMETRY`` (default on, ``--no-symmetry`` from the
-CLI); the solver additionally skips emission under canonical-models mode,
-where least-model minimization already determinizes model choice.
-
-Imports only the logic and rml layers; the solver imports this module.
+Imports only the logic and rml layers.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from ..logic import syntax as s
 from ..logic.lexer import Span
-from ..logic.sorts import FuncDecl, RelDecl, Sort, Vocabulary
+from ..logic.sorts import FuncDecl, Sort
 from ..rml.ast import Assume, Program, UpdateFunc, UpdateRel, subcommands
-
-#: cap on unary-relation columns per lex chain and constants per orbit --
-#: the constraints are cheap but quadratic blow-up on synthetic inputs
-#: is not worth chasing past this point
-MAX_LEX_COLUMNS = 8
-MAX_ORBIT = 64
-
-
-def symmetry_enabled() -> bool:
-    """Is symmetry breaking on?  ``REPRO_SYMMETRY`` gates it, default on."""
-    return os.environ.get("REPRO_SYMMETRY", "1").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
-
-
-# ------------------------------------------------------------ program level
 
 
 @dataclass(frozen=True)
@@ -88,7 +47,7 @@ class SortSymmetry:
 
     @property
     def nearly(self) -> bool:
-        """Eligible but for a single offending blocker (RML111's trigger)."""
+        """Interchangeable but for a single blocker (RML111's trigger)."""
         return len(self.blockers) == 1
 
 
@@ -175,93 +134,3 @@ def analyze_program_symmetry(
                 )
         reports.append(SortSymmetry(sort, constants, tuple(blockers)))
     return tuple(reports)
-
-
-# -------------------------------------------------------------- query level
-
-
-@dataclass(frozen=True)
-class Orbit:
-    """A set of pairwise-interchangeable constants of one sort."""
-
-    sort: Sort
-    constants: tuple[FuncDecl, ...]
-
-
-def query_orbits(
-    vocab: Vocabulary,
-    formulas: Iterable[s.Formula],
-) -> tuple[Orbit, ...]:
-    """Orbits of anonymous constants for one grounded query.
-
-    A declared constant occurring in no constraint formula is anonymous;
-    anonymous constants of the same sort form an orbit.  Sorts touched by
-    an *occurring* proper function, or by an occurring relation with two
-    or more same-sort arguments, are skipped: lex-leading over unary
-    columns stays sound there too, but the payoff is marginal and the
-    interaction with congruence closure costs review effort.
-    """
-    used: set = set()
-    for formula in formulas:
-        used.update(s.symbols_of(formula))
-    blocked_sorts: set[Sort] = set()
-    for decl in used:
-        if isinstance(decl, FuncDecl) and not decl.is_constant:
-            blocked_sorts.update(decl.arg_sorts)
-            blocked_sorts.add(decl.sort)
-        elif isinstance(decl, RelDecl):
-            for sort in set(decl.arg_sorts):
-                if sum(1 for arg in decl.arg_sorts if arg == sort) >= 2:
-                    blocked_sorts.add(sort)
-    by_sort: dict[Sort, list[FuncDecl]] = {}
-    for constant in vocab.constants():
-        if constant not in used and constant.sort not in blocked_sorts:
-            by_sort.setdefault(constant.sort, []).append(constant)
-    orbits = []
-    for sort in sorted(by_sort, key=lambda x: x.name):
-        constants = sorted(by_sort[sort], key=lambda d: d.name)[:MAX_ORBIT]
-        if len(constants) >= 2:
-            orbits.append(Orbit(sort, tuple(constants)))
-    return tuple(orbits)
-
-
-def lex_leader_constraints(
-    orbits: Sequence[Orbit],
-    vocab: Vocabulary,
-    used: Iterable[object] = (),
-) -> list[s.Formula]:
-    """Ground lex-leader constraints for each orbit's adjacent pairs.
-
-    Columns are the occurring unary relations on the orbit's sort (all
-    declared unary relations when ``used`` is empty), in name order,
-    capped at :data:`MAX_LEX_COLUMNS`.  Sorts with no unary column yield
-    no constraints -- the orbit is still reported, there is just nothing
-    to break on.
-    """
-    used_set = set(used)
-    constraints: list[s.Formula] = []
-    for orbit in orbits:
-        columns = [
-            rel
-            for rel in sorted(vocab.relations, key=lambda r: r.name)
-            if rel.arg_sorts == (orbit.sort,)
-            and (not used_set or rel in used_set)
-        ][:MAX_LEX_COLUMNS]
-        if not columns:
-            continue
-        terms = [s.App(constant, ()) for constant in orbit.constants]
-        for left, right in zip(terms, terms[1:]):
-            prefix_equal: list[s.Formula] = []
-            for rel in columns:
-                here = s.Rel(rel, (left,))
-                there = s.Rel(rel, (right,))
-                constraints.append(
-                    s.implies(s.and_(*prefix_equal), s.implies(there, here))
-                )
-                prefix_equal.append(s.iff(here, there))
-    return constraints
-
-
-def orbit_summary(orbits: Sequence[Orbit]) -> Mapping[str, int]:
-    """``{sort name: orbit size}`` for reports and telemetry."""
-    return {orbit.sort.name: len(orbit.constants) for orbit in orbits}

@@ -63,7 +63,7 @@ from .recovery import (
     write_meta,
 )
 from .recovery.journal import JOURNAL_NAME
-from .solver.budget import Budget, resolve_budget
+from .solver.budget import Budget, env_flag, resolve_budget
 
 #: Exit code for UNKNOWN outcomes (budget exhausted), distinct from
 #: 0 = verified and 1 = violation/not-inductive.
@@ -78,25 +78,23 @@ def _apply_cache_flags(args: argparse.Namespace) -> None:
     ``--cache-dir`` implies persistence -- pointing at a store you do not
     want used would be a strange request.
     """
-    if getattr(args, "cache_dir", None):
-        os.environ["REPRO_CACHE_DIR"] = args.cache_dir
-        os.environ.setdefault("REPRO_CACHE_PERSIST", "1")
-    if getattr(args, "persist_cache", False):
+    cache_dir = getattr(args, "cache_dir", None)
+    if cache_dir:
+        os.environ["REPRO_CACHE_DIR"] = cache_dir
+    if cache_dir or getattr(args, "persist_cache", False):
         os.environ["REPRO_CACHE_PERSIST"] = "1"
     if getattr(args, "no_cache", False):
         os.environ["REPRO_CACHE"] = "0"
 
 
 def _apply_analysis_flags(args: argparse.Namespace) -> None:
-    """Translate slicing/symmetry flags into their env vars.
+    """Translate the slicing flags into ``REPRO_SLICE``.
 
     Same channel as the cache flags: the environment reaches forked pool
     workers, nested dispatch sites, and the solver layer alike.
     """
     if getattr(args, "slice", None) is not None:
         os.environ["REPRO_SLICE"] = "1" if args.slice else "0"
-    if getattr(args, "symmetry", None) is not None:
-        os.environ["REPRO_SYMMETRY"] = "1" if args.symmetry else "0"
 
 
 def _budget_of(args: argparse.Namespace) -> Budget | None:
@@ -134,12 +132,7 @@ def _open_journal(
         or getattr(args, "file", None)
         or ""
     )
-    enabled = bool(
-        args.run_dir
-        or args.resume
-        or os.environ.get("REPRO_JOURNAL", "").strip() in ("1", "true", "yes")
-    )
-    if not enabled:
+    if not (args.run_dir or args.resume or env_flag("REPRO_JOURNAL", False)):
         return None, None
     run_dir = args.run_dir or default_run_dir(args.command, target)
     path = os.path.join(run_dir, JOURNAL_NAME)
@@ -449,9 +442,9 @@ def _analyze_report(target: str, program) -> tuple[dict, list]:
 
     Returns ``(report dict, diagnostics)``.  Everything here is AST
     walking -- footprints, the dependency graph, slice previews over the
-    Eq. 2 obligations, symmetry orbits, and the RML108-111/306 rules.  No
-    solver is ever constructed, so a run shows zero ``query_latency_ms``
-    samples (asserted in the tests).
+    Eq. 2 obligations, sort interchangeability, and the RML108-111/306
+    rules.  No solver is ever constructed, so a run shows zero
+    ``query_latency_ms`` samples (asserted in the tests).
     """
     from .analysis.deps import build_dependency_graph, transition_footprints
     from .analysis.lint import semantic_diagnostics
@@ -924,12 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.add_argument(
             "--no-slice", dest="slice", action="store_false",
             help="solve every VC unsliced over the full vocabulary",
-        )
-        subparser.add_argument(
-            "--no-symmetry", dest="symmetry", action="store_false",
-            default=None,
-            help="disable symmetry-breaking constraints at grounding time "
-                 "(REPRO_SYMMETRY=0)",
         )
 
     bmc = commands.add_parser("bmc", help="bounded debugging (Section 4.1)")

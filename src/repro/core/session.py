@@ -133,10 +133,6 @@ class Session:
                 return conjecture
         return None
 
-    @property
-    def invariant_formula(self) -> s.Formula:
-        return s.and_(*(c.formula for c in self.conjectures))
-
     # ------------------------------------------------------------ the loop
 
     def check(self) -> InductionResult:

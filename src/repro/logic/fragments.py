@@ -91,8 +91,3 @@ def is_forall_exists(formula: s.Formula) -> bool:
 def is_universal(formula: s.Formula) -> bool:
     """True for formulas prenexable to forall* over a QF matrix."""
     return _collapsed_prefix(formula, "A") in ("", "A")
-
-
-def is_existential(formula: s.Formula) -> bool:
-    """True for formulas prenexable to exists* over a QF matrix."""
-    return _collapsed_prefix(formula, "E") in ("", "E")

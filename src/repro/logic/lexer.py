@@ -7,7 +7,6 @@ Tokens carry their source position for error reporting.  Comments run from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 _PUNCTUATION = (
     ":=",
@@ -188,10 +187,3 @@ class ParseError(Exception):
         if token is not None:
             message = f"{message} (line {token.line}, column {token.col})"
         super().__init__(message)
-
-
-def idents(stream: TokenStream) -> Iterator[str]:
-    """Parse a comma-separated identifier list."""
-    yield stream.expect_ident().text
-    while stream.accept(","):
-        yield stream.expect_ident().text

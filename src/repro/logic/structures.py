@@ -177,9 +177,6 @@ class Structure:
         """Evaluate a closed formula."""
         return self.eval_formula(formula, {})
 
-    def satisfies_all(self, formulas: Iterable[s.Formula]) -> bool:
-        return all(self.satisfies(f) for f in formulas)
-
     # -------------------------------------------------------- modification
 
     def with_rel(self, rel: RelDecl, tuples: Iterable[tuple[Elem, ...]]) -> "Structure":

@@ -7,7 +7,6 @@ named stages a query's wall time actually goes to:
 * ``ground``      -- the ground-term universe closure (:mod:`..solver.grounding`);
 * ``instantiate`` -- exhaustive instantiation fused with Tseitin encoding
   (the clause templates of :mod:`..solver.template`);
-* ``symmetry``    -- lex-leader symmetry-breaking clauses;
 * ``cache``       -- query-cache lookups and stores (:mod:`..solver.cache`);
 * ``sat``         -- CDCL search (:mod:`..solver.sat`);
 * ``theory``      -- equality-theory set-up, congruence closure and MBQI
@@ -63,8 +62,8 @@ from .metrics import observe as _observe
 
 #: canonical phase order, used by reports for stable column layout
 PHASES = (
-    "normalize", "ground", "instantiate", "symmetry", "cache", "sat",
-    "theory", "extract", "gc", "ledger", "transit",
+    "normalize", "ground", "instantiate", "cache", "sat", "theory",
+    "extract", "gc", "ledger", "transit",
 )
 
 #: statistics/span-attribute prefix phase timings are published under

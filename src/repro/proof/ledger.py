@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from .. import obs
 from ..logic import syntax as s
 from ..logic.printer import canonical_str, fingerprint
+from ..solver.budget import env_flag
 from ..store import ShardedStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -272,11 +273,7 @@ class Ledger:
 
 def ledger_enabled() -> bool:
     """``REPRO_LEDGER`` not falsy (read at call time)."""
-    return os.environ.get("REPRO_LEDGER", "1").strip().lower() not in (
-        "0",
-        "false",
-        "no",
-    )
+    return env_flag("REPRO_LEDGER", True)
 
 
 def ledger_dir() -> str:

@@ -20,7 +20,10 @@ deadline with SIGKILL, retry with :meth:`Budget.escalated`).
 ``resolve_budget`` builds a budget from the ``REPRO_TIMEOUT``,
 ``REPRO_CONFLICT_BUDGET``, and ``REPRO_MEMORY_MB`` environment variables;
 malformed values are ignored with a one-line stderr warning (see
-:func:`warn_env`), never silently.
+:func:`warn_env`), never silently.  The boolean variables elsewhere
+(``REPRO_CACHE``, ``REPRO_CACHE_PERSIST``, ``REPRO_LEDGER``,
+``REPRO_SLICE``, ``REPRO_JOURNAL``) are read through :func:`env_flag`,
+which warns the same way.
 """
 
 from __future__ import annotations
@@ -202,6 +205,27 @@ def _env_int(name: str, minimum: int = 1) -> int | None:
     except ValueError:
         warn_env(name, raw, f"expected an integer >= {minimum}")
         return None
+
+
+def env_flag(name: str, default: bool) -> bool:
+    """A boolean environment variable, read at call time.
+
+    Case-insensitive ``1/true/yes/on`` and ``0/false/no/off``; unset or
+    empty gives ``default``, and so does anything else, after a
+    :func:`warn_env` line.
+    """
+    raw = os.environ.get(name, "").strip()
+    value = raw.lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off"):
+        return False
+    if raw:
+        warn_env(name, raw, "expected 1/true/yes/on or 0/false/no/off")
+        # Flags are read per query: blank it so it warns once, here and
+        # in workers forked later.
+        os.environ[name] = ""
+    return default
 
 
 def resolve_budget(

@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Hashable
 from .. import obs
 from ..obs import profile
 from ..store import ShardedStore
-from .budget import _env_int
+from .budget import _env_int, env_flag
 
 if TYPE_CHECKING:  # pragma: no cover
     from .epr import EprResult
@@ -231,11 +231,7 @@ _generation = 0
 
 def _disabled_by_env() -> bool:
     """``REPRO_CACHE=0`` (read at call time, not import time)."""
-    return os.environ.get("REPRO_CACHE", "1").strip().lower() in (
-        "0",
-        "false",
-        "no",
-    )
+    return not env_flag("REPRO_CACHE", True)
 
 
 def _env_capacity() -> int:
@@ -245,12 +241,7 @@ def _env_capacity() -> int:
 
 def persistence_enabled() -> bool:
     """``REPRO_CACHE_PERSIST`` truthy (read at call time)."""
-    return os.environ.get("REPRO_CACHE_PERSIST", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
+    return env_flag("REPRO_CACHE_PERSIST", False)
 
 
 def cache_dir() -> str:

@@ -101,7 +101,7 @@ def _gc_paused():
 #: Salt of the query-cache key.  Bump it whenever solving semantics change
 #: (normalization, grounding, search, model extraction), so results stored
 #: by an older solver read as misses.
-KEY_VERSION = 1
+KEY_VERSION = 2
 
 
 def _key_tokens(value, out: list[str]) -> None:
@@ -297,10 +297,6 @@ class EprSolver:
         self._digest = None
         return name
 
-    def add_all(self, formulas: Iterable[s.Formula]) -> None:
-        for formula in formulas:
-            self.add(formula)
-
     # ------------------------------------------------------------ cache key
 
     def _input_digest(self) -> str:
@@ -316,8 +312,6 @@ class EprSolver:
         that exhausted it is UNKNOWN, and UNKNOWN is never stored.
         """
         if self._digest is None:
-            from ..analysis.symmetry import symmetry_enabled
-
             working, _ = self._working_vocabulary()
             adopted = (
                 working.relations[len(self.vocab.relations):],
@@ -327,7 +321,6 @@ class EprSolver:
                 self.eager_threshold,
                 self.exclusive_tracked,
                 self.canonical_models,
-                symmetry_enabled(),
             )
             tokens = [
                 f"v{KEY_VERSION}", repr(self.vocab), repr(adopted),
@@ -465,47 +458,8 @@ class EprSolver:
                     block_template(tuple(vars_), matrix)(
                         prepared, itertools.product(*domains), selector
                     )
-        self._break_symmetries(prepared, working_vocab)
         prepared._meter = None
         return prepared
-
-    def _break_symmetries(
-        self, prepared: "PreparedEpr", working_vocab: Vocabulary
-    ) -> None:
-        """Assert lex-leader constraints over anonymous-constant orbits.
-
-        Declared constants occurring in no constraint are interchangeable
-        within their sort (permuting them is an automorphism of the ground
-        instance set), so constraining models to lexicographic leaders over
-        their unary-relation memberships preserves satisfiability.  Skipped
-        under canonical-models mode -- least-model minimization already
-        determinizes model choice there, and the extra clauses would only
-        perturb the canonical shape -- and behind ``REPRO_SYMMETRY``.
-        """
-        from ..analysis.symmetry import (
-            lex_leader_constraints,
-            query_orbits,
-            symmetry_enabled,
-        )
-
-        if self.canonical_models or not symmetry_enabled():
-            return
-        with profile.phase("symmetry"):
-            formulas = [constraint.formula for constraint in self._constraints]
-            orbits = query_orbits(working_vocab, formulas)
-            if not orbits:
-                return
-            used: set = set()
-            for formula in formulas:
-                used.update(s.symbols_of(formula))
-            count = 0
-            for constraint in lex_leader_constraints(orbits, working_vocab, used):
-                if prepared.assert_instance(constraint, None):
-                    count += 1
-        prepared.symmetry_orbits = len(orbits)
-        if count:
-            obs.inc("symmetry_constraints_total", count)
-        obs.set_gauge("symmetry_orbits", len(orbits))
 
     def check(self, max_rounds: int = 10_000) -> EprResult:
         """Decide the conjunction of all added constraints.
@@ -830,16 +784,15 @@ class PreparedEpr:
         #: formula ids of the instances asserted without a selector
         self._asserted: set[int] = set()
         self.instance_count = 0
-        self.symmetry_orbits = 0  # orbits broken at grounding time
         self._digest = ""  # the owner's input digest, set by prepare()
         #: enabled sets the owner looked up and missed before grounding
         self._missed: set[tuple[str, ...] | None] = set()
         self._meter: BudgetMeter | None = None  # active during prepare/solve
         self._pending_phases: dict[str, int] = {}  # prepare phases, unreported
 
-    def assert_instance(self, instance: s.Formula, selector: int | None) -> bool:
-        """Assert a ground formula given as an AST (a block without
-        variables, a lex-leader constraint); False for a duplicate.
+    def assert_instance(self, instance: s.Formula, selector: int | None) -> None:
+        """Assert a ground formula given as an AST: a block without
+        variables.  A duplicate without a selector is not counted.
 
         Interning an instance asserted before encodes nothing new, so the
         duplicate test can follow it.
@@ -850,13 +803,12 @@ class PreparedEpr:
         fid = builder.intern(instance)
         if selector is None:
             if fid in self._asserted:
-                return False
+                return
             self._asserted.add(fid)
             builder.solver.add_clause([builder.lits[fid]])
         else:
             builder.solver.add_clause([-selector, builder.lits[fid]])
         self.instance_count += 1
-        return True
 
     def solve(
         self, enabled: Iterable[str] | None = None, max_rounds: int = 10_000

@@ -176,10 +176,6 @@ def mark_worker() -> None:
     _in_worker = True
 
 
-def in_worker() -> bool:
-    return _in_worker
-
-
 def maybe_inject(name: str, attempt: int) -> None:
     """Inject the planned fault (if any) for this query attempt.
 

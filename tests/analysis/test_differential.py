@@ -1,9 +1,8 @@
-"""Differential guarantees: slicing and symmetry never change answers.
+"""Differential guarantees: slicing never changes answers.
 
-The slice is a weakening checked UNSAT-first with a full-VC fallback, and
-symmetry breaking only prunes models of anonymous constants, so a sliced
-and/or symmetry-broken run must report the identical verdict -- and the
-identical CTI, since CTIs always come from the full unsliced query.
+The slice is a weakening checked UNSAT-first with a full-VC fallback, so
+a sliced run must report the identical verdict -- and the identical CTI,
+since CTIs always come from the full unsliced query.
 """
 
 import pytest
@@ -32,9 +31,8 @@ def fresh_cache_no_faults():
     install_cache(old_cache)
 
 
-def _check(name, monkeypatch, *, slice_on=True, symmetry_on=True, **kwargs):
+def _check(name, monkeypatch, *, slice_on=True, **kwargs):
     monkeypatch.setenv("REPRO_SLICE", "1" if slice_on else "0")
-    monkeypatch.setenv("REPRO_SYMMETRY", "1" if symmetry_on else "0")
     bundle = ALL_PROTOCOLS[name].build()
     return check_inductive(bundle.program, list(bundle.invariant), **kwargs)
 
@@ -85,7 +83,6 @@ class TestSliceDifferential:
         def run():
             return check_inductive(bundle.program, weakened)
 
-        monkeypatch.setenv("REPRO_SYMMETRY", "1")
         monkeypatch.setenv("REPRO_SLICE", "1")
         sliced = run()
         monkeypatch.setenv("REPRO_SLICE", "0")
@@ -93,27 +90,6 @@ class TestSliceDifferential:
         assert sliced.holds == full.holds is False
         assert sliced.cti is not None and full.cti is not None
         assert str(sliced.cti) == str(full.cti)
-
-
-class TestSymmetryDifferential:
-    @pytest.mark.parametrize("name", FAST_PROTOCOLS)
-    def test_verdict_identical(self, name, monkeypatch):
-        on = _check(name, monkeypatch, symmetry_on=True)
-        off = _check(name, monkeypatch, symmetry_on=False)
-        assert on.holds == off.holds is True
-
-    def test_failing_verdict_identical(self, monkeypatch):
-        bundle = ALL_PROTOCOLS["lock_server"].build()
-        weakened = list(bundle.invariant[:1])
-        monkeypatch.setenv("REPRO_SYMMETRY", "1")
-        on = check_inductive(bundle.program, weakened)
-        monkeypatch.setenv("REPRO_SYMMETRY", "0")
-        off = check_inductive(bundle.program, weakened)
-        assert on.holds == off.holds is False
-        assert (on.cti is None) == (off.cti is None)
-        # Same obligation failed; the model may pick a different (orbit-
-        # renamed) representative, but the violated conjecture cannot move.
-        assert on.cti.violated == off.cti.violated
 
 
 class TestChaosWithSlicing:

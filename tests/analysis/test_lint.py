@@ -179,7 +179,7 @@ init { insert r(n); }
 
 # The advisory warnings a bundled protocol is known to carry; nothing else
 # may fire.  RML111 is a near-miss report (lock_server's 'client' sort
-# misses symmetry eligibility by one blocker).  RML108 flags a relation no
+# is one blocker from interchangeable).  RML108 flags a relation no
 # declared invariant reads: lock_server's request messages and chord's
 # predecessor pointers are scaffolding that safety does not depend on.
 KNOWN_WARNINGS = {

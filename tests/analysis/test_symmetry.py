@@ -1,25 +1,16 @@
-"""Sort interchangeability, query orbits, and lex-leader soundness."""
+"""Program-level sort interchangeability; anonymous constants in the solver."""
 
 import pytest
 
-from repro.analysis.symmetry import (
-    Orbit,
-    analyze_program_symmetry,
-    lex_leader_constraints,
-    orbit_summary,
-    query_orbits,
-    symmetry_enabled,
-)
+from repro.analysis.symmetry import analyze_program_symmetry
 from repro.logic import App, FuncDecl, Rel, RelDecl, Sort, Var, vocabulary
 from repro.logic import syntax as s
 from repro.rml.parser import parse_program
 from repro.solver.epr import EprSolver
 
 elem = Sort("elem")
-other = Sort("other")
 p = RelDecl("p", (elem,))
 q = RelDecl("q", (elem,))
-le = RelDecl("le", (elem, elem))
 a = FuncDecl("a", (), elem)
 b = FuncDecl("b", (), elem)
 c = FuncDecl("c", (), elem)
@@ -45,17 +36,6 @@ action tick {
     assume forall X:worker. ~busy(X);
 }
 """
-
-
-class TestEnvGate:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SYMMETRY", raising=False)
-        assert symmetry_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "false", "no", "off"])
-    def test_off_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_SYMMETRY", value)
-        assert not symmetry_enabled()
 
 
 class TestProgramLevel:
@@ -99,66 +79,12 @@ class TestProgramLevel:
         assert not report.interchangeable
 
 
-class TestQueryOrbits:
-    def test_anonymous_constants_form_orbit(self):
-        vocab = vocabulary(
-            sorts=[elem], relations=[p], functions=[a, b, c]
-        )
-        formulas = [s.exists((X,), Rel(p, (X,)))]
-        (orbit,) = query_orbits(vocab, formulas)
-        assert [const.name for const in orbit.constants] == ["a", "b", "c"]
-        assert orbit_summary([orbit]) == {"elem": 3}
-
-    def test_occurring_constant_excluded(self):
-        vocab = vocabulary(sorts=[elem], relations=[p], functions=[a, b, c])
-        formulas = [Rel(p, (App(a, ()),))]
-        (orbit,) = query_orbits(vocab, formulas)
-        assert [const.name for const in orbit.constants] == ["b", "c"]
-
-    def test_same_sort_binary_relation_blocks_sort(self):
-        vocab = vocabulary(sorts=[elem], relations=[p, le], functions=[a, b])
-        formulas = [s.forall((X,), Rel(le, (X, X)))]
-        assert query_orbits(vocab, formulas) == ()
-
-    def test_proper_function_blocks_sort(self):
-        succ = FuncDecl("succ", (elem,), elem)
-        vocab = vocabulary(sorts=[elem], relations=[p], functions=[a, b, succ])
-        formulas = [s.forall((X,), s.Eq(App(succ, (X,)), X))]
-        assert query_orbits(vocab, formulas) == ()
-
-    def test_singleton_is_no_orbit(self):
-        vocab = vocabulary(sorts=[elem], relations=[p], functions=[a])
-        assert query_orbits(vocab, [s.exists((X,), Rel(p, (X,)))]) == ()
-
-
-class TestLexLeader:
-    def test_constraint_count_and_shape(self):
-        vocab = vocabulary(sorts=[elem], relations=[p], functions=[a, b, c])
-        orbit = Orbit(elem, (a, b, c))
-        constraints = lex_leader_constraints([orbit], vocab)
-        # One unary column, two adjacent pairs -> two implications.
-        assert len(constraints) == 2
-        first = constraints[0]
-        assert isinstance(first, s.Implies)
-
-    def test_used_filter_drops_foreign_columns(self):
-        vocab = vocabulary(sorts=[elem], relations=[p, q], functions=[a, b])
-        orbit = Orbit(elem, (a, b))
-        only_p = lex_leader_constraints([orbit], vocab, used={p})
-        both = lex_leader_constraints([orbit], vocab)
-        assert len(only_p) == 1
-        assert len(both) == 2
-
-    def test_no_unary_column_no_constraints(self):
-        vocab = vocabulary(sorts=[elem], relations=[le], functions=[a, b])
-        orbit = Orbit(elem, (a, b))
-        assert lex_leader_constraints([orbit], vocab) == []
-
-
 class TestSolverIntegration:
-    def _solve(self, formulas, monkeypatch, symmetry):
-        monkeypatch.setenv("REPRO_SYMMETRY", "1" if symmetry else "0")
-        vocab = vocabulary(sorts=[elem], relations=[p, q], functions=[a, b, c])
+    """Declared constants that occur in no constraint are plain ground
+    terms to the solver: they never change a verdict."""
+
+    def _solve(self, formulas, constants):
+        vocab = vocabulary(sorts=[elem], relations=[p, q], functions=constants)
         solver = EprSolver(vocab)
         for index, formula in enumerate(formulas):
             solver.add(formula, name=f"f{index}")
@@ -177,27 +103,8 @@ class TestSolverIntegration:
             ),
         ],
     )
-    def test_verdict_preserved(self, monkeypatch, formulas, expect_sat):
-        on = self._solve(formulas, monkeypatch, symmetry=True)
-        off = self._solve(formulas, monkeypatch, symmetry=False)
-        assert on.satisfiable == off.satisfiable == expect_sat
-        assert not on.unknown and not off.unknown
-
-    def test_orbit_gauge_reported(self, monkeypatch):
-        from repro.obs.metrics import MetricsRegistry, install_metrics
-
-        monkeypatch.setenv("REPRO_SYMMETRY", "1")
-        registry = MetricsRegistry()
-        old = install_metrics(registry)
-        try:
-            vocab = vocabulary(
-                sorts=[elem], relations=[p], functions=[a, b, c]
-            )
-            solver = EprSolver(vocab)
-            solver.add(s.exists((X,), Rel(p, (X,))), name="f")
-            result = solver.check()
-        finally:
-            install_metrics(old)
-        assert result.satisfiable
-        gauge = registry._gauges.get("symmetry_orbits")
-        assert gauge is not None and gauge.value >= 1
+    def test_verdict_preserved(self, formulas, expect_sat):
+        anonymous = self._solve(formulas, [a, b, c])
+        bare = self._solve(formulas, [])
+        assert anonymous.satisfiable == bare.satisfiable == expect_sat
+        assert not anonymous.unknown and not bare.unknown

@@ -117,8 +117,8 @@ class TestPhaseProfile:
         assert attrs["phase_ground_cpu_ms"] == pytest.approx(0.3)
 
     def test_phase_names_are_canonical(self):
-        for name in ("normalize", "ground", "instantiate", "symmetry", "cache",
-                     "sat", "theory", "extract", "gc", "ledger", "transit"):
+        for name in ("normalize", "ground", "instantiate", "cache", "sat",
+                     "theory", "extract", "gc", "ledger", "transit"):
             assert name in profile.PHASES
 
 

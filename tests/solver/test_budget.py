@@ -1,9 +1,16 @@
 """Budgets: cooperative enforcement, UNKNOWN verdicts, env resolution."""
 
+import argparse
+
 import pytest
 
+import repro.analysis.deps as deps_module
+import repro.proof.ledger as ledger_module
+import repro.solver.cache as cache_module
+from repro import cli
 from repro.logic import RelDecl, Sort, Var, vocabulary
 from repro.logic import syntax as s
+from repro.recovery import set_active_journal
 from repro.solver import (
     Budget,
     BudgetExceeded,
@@ -187,3 +194,61 @@ class TestEnvResolution:
         monkeypatch.setenv("REPRO_RETRIES", "many")
         assert resolve_retries() == 2
         assert "REPRO_RETRIES" in capsys.readouterr().err
+
+
+
+def _journaling() -> bool:
+    """Does ``repro check`` open a journal under the current environment?"""
+    args = argparse.Namespace(
+        command="check", protocol="lock_server", run_dir=None, resume=False
+    )
+    journal, _ = cli._open_journal(args, ["check", "lock_server"])
+    if journal is None:
+        return False
+    journal.close()
+    set_active_journal(None)
+    return True
+
+
+#: each boolean variable: its default, and its reader
+FLAG_READERS = {
+    "REPRO_CACHE": (True, lambda: not cache_module._disabled_by_env()),
+    "REPRO_CACHE_PERSIST": (False, cache_module.persistence_enabled),
+    "REPRO_LEDGER": (True, ledger_module.ledger_enabled),
+    "REPRO_SLICE": (True, deps_module.slicing_enabled),
+    "REPRO_JOURNAL": (False, _journaling),
+}
+
+
+class TestEnvFlag:
+    @pytest.fixture(autouse=True)
+    def runs_dir(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
+
+    @pytest.mark.parametrize("name", sorted(FLAG_READERS))
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ("1", True), ("true", True), ("YES", True), ("on", True),
+            ("On", True), ("0", False), ("false", False), ("No", False),
+            ("off", False), ("OFF", False),
+        ],
+    )
+    def test_spellings(self, name, raw, expected, monkeypatch, capsys):
+        monkeypatch.setenv(name, raw)
+        assert FLAG_READERS[name][1]() is expected
+        assert "warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(FLAG_READERS))
+    def test_malformed_warns_once_and_keeps_default(self, name, monkeypatch, capsys):
+        monkeypatch.setenv(name, "maybe")
+        default, read = FLAG_READERS[name]
+        assert read() is default
+        assert read() is default
+        assert capsys.readouterr().err.count(f"{name}='maybe'") == 1
+
+    @pytest.mark.parametrize("name", sorted(FLAG_READERS))
+    def test_unset_is_default(self, name, monkeypatch):
+        monkeypatch.delenv(name, raising=False)
+        default, read = FLAG_READERS[name]
+        assert read() is default

@@ -128,11 +128,6 @@ class TestOptionsChangeTheKey:
     def test_canonical_models(self):
         assert key(canonical_models=True) != key()
 
-    def test_symmetry_switch(self, monkeypatch):
-        before = key()
-        monkeypatch.setenv("REPRO_SYMMETRY", "0")
-        assert key() != before
-
     def test_enabled_set(self):
         assert key(enabled={"goal"}) != key()
         assert key(enabled={"goal"}) != key(enabled={"goal", "fresh"})
@@ -158,7 +153,6 @@ class TestStableKey:
             env["PYTHONPATH"] = os.pathsep.join(
                 [str(REPO_ROOT / "src"), str(REPO_ROOT)]
             )
-            env.pop("REPRO_SYMMETRY", None)
             out = subprocess.run(
                 [sys.executable, "-c", script],
                 cwd=REPO_ROOT, env=env, capture_output=True, text=True,

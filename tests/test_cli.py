@@ -1,11 +1,17 @@
 """The command-line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestCli:
@@ -47,6 +53,27 @@ class TestCli:
     def test_unknown_protocol(self):
         with pytest.raises(SystemExit, match="unknown protocol"):
             main(["check", "nonexistent"])
+
+    def test_no_symmetry_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "lock_server", "--no-symmetry"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_cache_dir_beats_exported_persist_off(self, tmp_path):
+        """``--cache-dir`` implies persistence even over REPRO_CACHE_PERSIST=0."""
+        store = tmp_path / "store"
+        env = dict(os.environ, REPRO_CACHE_PERSIST="0")
+        env.pop("REPRO_CACHE", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")]
+        )
+        subprocess.run(
+            [sys.executable, "-m", "repro", "check", "lock_server",
+             "--cache-dir", str(store)],
+            cwd=tmp_path, env=env, capture_output=True, check=True,
+        )
+        assert any(path.is_file() for path in store.rglob("*"))
 
     def test_obs_flags_on_every_solving_subcommand(self, tmp_path, capsys):
         # --trace/--metrics/--progress parse everywhere; the end-to-end
