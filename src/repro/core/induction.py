@@ -14,13 +14,16 @@ which one body execution aborts or violates some conjecture.  The successor
 state shown to the user (the (a2) states of Figures 7-9) is recovered by
 concretely executing the body from the CTI with the interpreter and picking
 an outcome that witnesses the violation.
+
+:func:`discharge` is the one loop that solves obligations, for
+:func:`check_inductive` and for the proof manager alike.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterator, Literal, Mapping, NamedTuple, Sequence
 
 from .. import obs
 from ..obs import profile
@@ -30,7 +33,7 @@ from ..logic.fragments import is_universal
 from ..logic.sorts import Vocabulary
 from ..logic.structures import Structure
 from ..rml.ast import Program
-from ..rml.interp import Outcome, execute, successors
+from ..rml.interp import execute
 from ..rml.wp import wp
 from ..solver.budget import Budget
 from ..solver.dispatch import query_of, resolve_jobs, solve_queries
@@ -160,49 +163,26 @@ def obligations(
     if sliced is None:
         sliced = deps.slicing_enabled()
     out: list[Obligation] = []
-    for conjecture in conjectures:
-        goal = s.not_(wp(program.init, conjecture.formula, axioms))
-        vc = s.and_(axioms, goal)
-        out.append(
-            Obligation(
-                "initiation",
-                f"initiation of {conjecture.name}",
-                "init",
-                conjecture.name,
-                conjecture.formula,
-                vc,
-                **(_slice_fields(program, axiom_pool, goal, vc) if sliced else {}),
-            )
-        )
+
+    def add(kind, description, label, target, post, pool, goal, *premises):
+        vc = s.and_(*premises, goal)
+        fields = _slice_fields(program, pool, goal, vc) if sliced else {}
+        out.append(Obligation(kind, description, label, target, post, vc, **fields))
+
+    for c in conjectures:
+        goal = s.not_(wp(program.init, c.formula, axioms))
+        add("initiation", f"initiation of {c.name}", "init", c.name, c.formula,
+            axiom_pool, goal, axioms)
     if include_no_abort:
         for label, command in (("final", program.final), ("body", program.body)):
             no_abort = wp(command, s.TRUE, axioms)
-            if no_abort == s.TRUE:
-                continue
-            goal = s.not_(no_abort)
-            vc = s.and_(axioms, *assumed, invariant, goal)
-            out.append(
-                Obligation(
-                    "safety", f"no abort via {label}", label, None, s.TRUE, vc,
-                    **(_slice_fields(program, premise_pool, goal, vc)
-                       if sliced else {}),
-                )
-            )
-    for conjecture in conjectures:
-        goal = s.not_(wp(program.body, conjecture.formula, axioms))
-        vc = s.and_(axioms, *assumed, invariant, goal)
-        out.append(
-            Obligation(
-                "consecution",
-                f"consecution of {conjecture.name}",
-                "body",
-                conjecture.name,
-                conjecture.formula,
-                vc,
-                **(_slice_fields(program, premise_pool, goal, vc)
-                   if sliced else {}),
-            )
-        )
+            if no_abort != s.TRUE:
+                add("safety", f"no abort via {label}", label, None, s.TRUE,
+                    premise_pool, s.not_(no_abort), axioms, *assumed, invariant)
+    for c in conjectures:
+        goal = s.not_(wp(program.body, c.formula, axioms))
+        add("consecution", f"consecution of {c.name}", "body", c.name, c.formula,
+            premise_pool, goal, axioms, *assumed, invariant)
     return out
 
 
@@ -247,89 +227,324 @@ def obligation_premises(
     return tuple(c.formula for c in lemmas) + tuple(c.formula for c in conjectures)
 
 
-def _ledger_split(
+def check_obligation(
+    program: Program, obligation: Obligation, budget: Budget | None = None
+) -> EprResult:
+    """Satisfiability of one obligation's negated VC (sat = CTI exists).
+
+    When the obligation carries a cone-of-influence slice, the sliced VC
+    is tried first over its restricted vocabulary: UNSAT there refutes
+    the full VC (the slice is a weakening), which is the common case on
+    holding protocols.  Any other sliced verdict falls back to the full
+    query, so SAT models -- and therefore CTIs -- are identical to
+    ``--no-slice`` runs.
+    """
+    return _answer(program, obligation, budget).result
+
+
+def _solver(
+    program: Program, obligation: Obligation, budget: Budget | None, sliced: bool
+) -> EprSolver:
+    """A solver over the obligation's sliced VC and vocabulary, or its VC."""
+    if sliced:
+        vocab, vc = obligation.sliced_vocab or program.vocab, obligation.sliced_vc
+    else:
+        vocab, vc = program.vocab, obligation.vc
+    solver = EprSolver(vocab, budget=budget)
+    solver.add(vc, name="vc")
+    return solver
+
+
+class _Answer(NamedTuple):
+    result: EprResult
+    wall_ms: float
+    fallback: bool  # the full-VC retry of a sliced SAT/UNKNOWN answer ran
+
+
+def _answer(
     program: Program,
-    pending: Sequence[Obligation],
+    obligation: Obligation,
+    budget: Budget | None,
+    first: EprResult | None = None,
+    share_ms: float = 0.0,
+) -> _Answer:
+    """Settle one obligation from its first query's answer.
+
+    ``first`` is solved here when the caller has not already solved it
+    (in the worker pool); ``share_ms`` is this obligation's share of such
+    a batch.  A sliced SAT or UNKNOWN answer proves nothing, so the full
+    VC is then solved in-process.
+    """
+    started = time.monotonic()
+    sliced = obligation.sliced_vc is not None
+    if first is None:
+        first = _solver(program, obligation, budget, sliced).check()
+    result, fallback = first, False
+    if sliced and not first.is_unsat:
+        obs.inc("slice_fallback_total")
+        result, fallback = _solver(program, obligation, budget, False).check(), True
+    return _Answer(result, share_ms + (time.monotonic() - started) * 1000, fallback)
+
+
+def _answers(
+    program: Program,
+    obligations: Sequence[Obligation],
+    jobs: int | None,
+    budget: Budget | None,
+) -> Iterator[_Answer]:
+    """One answer per obligation, in order.
+
+    Serially each obligation is solved only when the consumer asks for
+    its answer, so a consumer that stops at the first CTI solves nothing
+    after it.  With ``jobs > 1`` every first query goes to the worker
+    pool as one batch before this returns.
+    """
+    firsts: list[EprResult | None] = [None] * len(obligations)
+    share_ms = 0.0
+    if resolve_jobs(jobs) > 1 and len(obligations) > 1:
+        queries = [
+            query_of(
+                _solver(program, o, budget, o.sliced_vc is not None),
+                name=o.description,
+            )
+            for o in obligations
+        ]
+        started = time.monotonic()
+        with obs.span("induction.dispatch", queries=len(queries)):
+            firsts = [result for (result,) in solve_queries(queries, jobs=jobs)]
+        share_ms = (time.monotonic() - started) * 1000 / len(queries)
+    return (
+        _answer(program, obligation, budget, first, share_ms)
+        for obligation, first in zip(obligations, firsts)
+    )
+
+
+# ------------------------------------------------------------------ discharge
+
+#: the invariant name under which no-abort obligations are recorded
+NO_ABORT = "<no-abort>"
+
+#: ``(key, program_hash, obligation_hash, lemma_hash)`` of one obligation
+Keys = tuple[str, str, str, str]
+
+
+@dataclass(frozen=True)
+class Pending:
+    """One obligation queued for :func:`discharge`.
+
+    ``conjectures`` and ``lemmas`` are what it was generated from: they
+    give its premise set, hence its ledger key.  A CTI is replayed on
+    ``witness`` (default: the keyed program); ``node`` labels its outcome.
+    """
+
+    obligation: Obligation
+    conjectures: Sequence[Conjecture]
+    lemmas: Sequence[Conjecture] = ()
+    witness: Program | None = None
+    node: str = ""
+
+
+@dataclass(frozen=True)
+class ObligationOutcome:
+    """How one obligation was resolved."""
+
+    node: str
+    description: str
+    via: str  # "ledger", "journal", "solver", or "unknown"
+    wall_ms: float = 0.0
+
+
+@dataclass
+class Discharge:
+    """What :func:`discharge` found, over one or more calls.
+
+    ``statistics`` sums the solver answers' statistics plus, for keyed
+    runs, ``ledger_hits``/``ledger_misses`` (with a ledger) and
+    ``journal_hits`` (when any).  ``solved`` counts solver answers.
+    """
+
+    outcomes: list[ObligationOutcome] = field(default_factory=list)
+    statistics: dict[str, int] = field(default_factory=dict)
+    unknown: list[str] = field(default_factory=list)
+    cti: CTI | None = None
+    failed: Pending | None = None
+    solved: int = 0
+
+    def add(self, counts: Mapping[str, int]) -> None:
+        for key, value in counts.items():
+            self.statistics[key] = self.statistics.get(key, 0) + value
+
+
+def _pending(
+    program: Program,
     conjectures: Sequence[Conjecture],
     lemmas: Sequence[Conjecture],
-    ledger,
-    journal=None,
-) -> tuple[list[Obligation], dict[int, tuple[str, str, str, str]], int, int]:
-    """Partition obligations into (to solve, keys by index, ledger hits,
-    journal hits).
+    include_no_abort: bool,
+) -> list[Pending]:
+    return [
+        Pending(o, conjectures, lemmas)
+        for o in obligations(program, conjectures, lemmas, include_no_abort)
+    ]
 
-    The run journal shares the ledger's content keys: an obligation the
-    killed run conclusively discharged is skipped here exactly like a
-    ledgered one, just with run-local scope.  Either store may be None.
-    """
+
+def obligation_keys(program: Program, items: Sequence[Pending]) -> list[Keys]:
+    """The ledger keys of ``items``: how the ledger, the run journal and
+    ``repro status`` address an obligation."""
     from ..proof.ledger import keys_of, program_fingerprint
 
     program_hash = program_fingerprint(program)
-    to_solve: list[Obligation] = []
-    keys: dict[int, tuple[str, str, str, str]] = {}
-    hits = 0
-    journal_hits = 0
-    with profile.phase("ledger"):
-        for obligation in pending:
-            parts = keys_of(
-                program,
-                obligation,
-                obligation_premises(obligation, conjectures, lemmas),
-                program_hash=program_hash,
-            )
-            if ledger is not None and ledger.proven(parts[0]) is not None:
-                hits += 1
-                continue
-            if journal is not None:
-                data = journal.replay("obligation", parts[0])
-                if data is not None and data.get("verdict") == "unsat":
-                    journal_hits += 1
-                    continue
-            keys[len(to_solve)] = parts
-            to_solve.append(obligation)
-    if ledger is not None:
-        obs.inc("ledger_hits", hits)
-        obs.inc("ledger_misses", len(to_solve))
-        obs.point("ledger.split", hits=hits, misses=len(to_solve))
-    return to_solve, keys, hits, journal_hits
+    return [
+        keys_of(
+            program,
+            item.obligation,
+            obligation_premises(item.obligation, item.conjectures, item.lemmas),
+            program_hash=program_hash,
+        )
+        for item in items
+    ]
 
 
-def _journal_record(journal, keys: tuple[str, str, str, str] | None) -> None:
-    """Journal one freshly discharged (unsat) obligation."""
-    if journal is not None and keys is not None:
-        journal.append("obligation", keys[0], verdict="unsat")
-
-
-def _ledger_record(
-    ledger,
-    keys: tuple[str, str, str, str] | None,
+def _record(
     program: Program,
     obligation: Obligation,
+    keys: Keys,
+    ledger,
+    journal,
     engine: str,
     budget: Budget | None,
     wall_ms: float,
 ) -> None:
-    """Persist one freshly discharged (unsat) obligation."""
-    if ledger is None or keys is None:
-        return
-    from ..proof.ledger import LedgerEntry, git_rev, run_id
+    """Ledger and journal one conclusively discharged obligation."""
+    if ledger is not None:
+        from ..proof.ledger import LedgerEntry, git_rev, run_id
 
-    _, program_hash, obligation_hash, lemma_hash = keys
-    ledger.record(
-        LedgerEntry(
-            program=program.name,
-            invariant=obligation.target or "<no-abort>",
-            kind=obligation.kind,
-            program_hash=program_hash,
-            obligation_hash=obligation_hash,
-            lemma_hash=lemma_hash,
-            engine=engine,
-            budget=str(budget) if budget is not None else None,
-            git_rev=git_rev(),
-            run_id=run_id(),
-            wall_ms=wall_ms,
-        )
+        invariant = obligation.target or NO_ABORT
+        budget_text = str(budget) if budget is not None else None
+        ledger.record(LedgerEntry(
+            program.name, invariant, obligation.kind, *keys[1:], engine,
+            budget_text, git_rev(), run_id(), wall_ms,
+        ))
+    if journal is not None:
+        journal.append("obligation", keys[0], verdict="unsat")
+
+
+def _split(
+    program: Program, items: Sequence[Pending], ledger, journal, run: Discharge
+) -> tuple[list[Pending], list[Keys]]:
+    """The items neither store holds as proven, with their keys.
+
+    The run journal shares the ledger's keys: an obligation a killed run
+    conclusively discharged is skipped exactly like a ledgered one, just
+    with run scope.  Skipped items become ``run`` outcomes.  Either store
+    may be None.
+    """
+    todo: list[Pending] = []
+    todo_keys: list[Keys] = []
+    hits = journal_hits = 0
+    with profile.phase("ledger"):
+        for item, keys in zip(items, obligation_keys(program, items)):
+            via = None
+            if ledger is not None and ledger.proven(keys[0]) is not None:
+                via, hits = "ledger", hits + 1
+            elif journal is not None:
+                data = journal.replay("obligation", keys[0])
+                if data is not None and data.get("verdict") == "unsat":
+                    via, journal_hits = "journal", journal_hits + 1
+            if via is None:
+                todo.append(item)
+                todo_keys.append(keys)
+                continue
+            description = item.obligation.description
+            run.outcomes.append(ObligationOutcome(item.node, description, via))
+            with obs.span("induction.obligation", description=description) as sp:
+                sp.set(verdict="unsat", source=via, fallback=False)
+    if ledger is not None:
+        run.add({"ledger_hits": hits, "ledger_misses": len(todo)})
+        obs.inc("ledger_hits", hits)
+        obs.inc("ledger_misses", len(todo))
+        obs.point("ledger.split", hits=hits, misses=len(todo))
+    if journal_hits:
+        run.add({"journal_hits": journal_hits})
+    return todo, todo_keys
+
+
+def discharge(
+    program: Program,
+    items: Sequence[Pending],
+    jobs: int | None = None,
+    budget: Budget | None = None,
+    ledger=None,
+    journal=None,
+    engine: str = "induction",
+    label: str = "induction",
+    run: Discharge | None = None,
+) -> Discharge:
+    """Discharge ``items`` in order, stopping at the first CTI.
+
+    With a ``ledger`` or a ``journal``, each item is keyed first (see
+    :func:`obligation_keys`); items either store holds as proven are
+    skipped before any solver is built, items sharing a key are solved
+    once, and each fresh UNSAT answer is recorded in both stores
+    (``engine`` names the caller in the ledger's provenance).  With
+    neither, nothing is keyed.  The rest are answered by
+    :func:`_answers`, serially or as one pool batch (``jobs > 1``).
+
+    Every obligation gets an ``induction.obligation`` span saying where
+    its answer came from (``source``: ledger, journal, cache or fresh)
+    and whether the full-VC retry ran (``fallback``).  The solver
+    answers are counted under ``engine_queries_total{engine=label}``.
+    Findings extend ``run`` when given, else a fresh record.
+    """
+    run = run if run is not None else Discharge()
+    keys: Sequence[Keys | None]
+    if ledger is None and journal is None:
+        todo, keys = list(items), [None] * len(items)
+        ids: Sequence[object] = range(len(todo))
+    else:
+        todo, keys = _split(program, items, ledger, journal, run)
+        # Items sharing a key are the same semantic obligation (same
+        # program, post, and premise set -- e.g. equal-formula
+        # invariants): solve one representative each.
+        ids = [item_keys[0] for item_keys in keys]
+    representatives: dict[object, Pending] = {}
+    for ident, item in zip(ids, todo):
+        representatives.setdefault(ident, item)
+    answers = _answers(
+        program, [item.obligation for item in representatives.values()],
+        jobs, budget,
     )
+    answered: dict[object, _Answer] = {}
+    for item, ident, item_keys in zip(todo, ids, keys):
+        obligation, description = item.obligation, item.obligation.description
+        representative = ident not in answered
+        with obs.span("induction.obligation", description=description) as sp:
+            if representative:
+                answered[ident] = next(answers)
+                run.add(answered[ident].result.statistics)
+            result, wall_ms, fallback = answered[ident]
+            source = "cache" if result.cached else "fresh"
+            sp.set(verdict=result.verdict, source=source, fallback=fallback)
+        if result.unknown:
+            run.unknown.append(description)
+            run.outcomes.append(ObligationOutcome(item.node, description, "unknown"))
+        elif result.satisfiable:
+            assert result.model is not None
+            witness = item.witness or program
+            run.cti = cti_from_model(witness, obligation, result.model)
+            run.failed = item
+            break
+        else:
+            run.outcomes.append(
+                ObligationOutcome(item.node, description, "solver", wall_ms)
+            )
+            if representative and item_keys is not None:
+                _record(
+                    program, obligation, item_keys, ledger, journal, engine,
+                    budget, wall_ms,
+                )
+    run.solved += len(answered)
+    obs.count_engine_queries(label, [answer.result for answer in answered.values()])
+    return run
 
 
 def ledger_proven(
@@ -345,9 +560,9 @@ def ledger_proven(
     UPDR): when a previous run already discharged the exact obligation
     set, the whole engine run can be skipped.
     """
-    pending = obligations(program, conjectures, lemmas, include_no_abort)
-    to_solve, _, _, _ = _ledger_split(program, pending, conjectures, lemmas, ledger)
-    return not to_solve
+    items = _pending(program, conjectures, lemmas, include_no_abort)
+    todo, _ = _split(program, items, ledger, None, Discharge())
+    return not todo
 
 
 def ledger_record_set(
@@ -364,56 +579,9 @@ def ledger_record_set(
     (Houdini's fixpoint) call this once at the end; soundness rests on
     the caller having conclusively discharged exactly these obligations.
     """
-    from ..proof.ledger import keys_of, program_fingerprint
-
-    program_hash = program_fingerprint(program)
-    for obligation in obligations(program, conjectures, lemmas, include_no_abort):
-        parts = keys_of(
-            program,
-            obligation,
-            obligation_premises(obligation, conjectures, lemmas),
-            program_hash=program_hash,
-        )
-        _ledger_record(ledger, parts, program, obligation, engine, None, 0.0)
-
-
-def check_obligation(
-    program: Program,
-    obligation: Obligation,
-    extra_constraints: Iterable[s.Formula] = (),
-    budget: Budget | None = None,
-) -> EprResult:
-    """Satisfiability of one obligation's negated VC (sat = CTI exists).
-
-    When the obligation carries a cone-of-influence slice and no extra
-    constraints are given, the sliced VC is tried first over its
-    restricted vocabulary: UNSAT there refutes the full VC (the slice is
-    a weakening), which is the common case on holding protocols.  Any
-    other sliced verdict falls back to the full query, so SAT models --
-    and therefore CTIs -- are identical to ``--no-slice`` runs.
-    """
-    extra = tuple(extra_constraints)
-    if obligation.sliced_vc is not None and not extra:
-        solver = EprSolver(obligation.sliced_vocab or program.vocab, budget=budget)
-        solver.add(obligation.sliced_vc, name="vc")
-        sliced = solver.check()
-        if sliced.is_unsat:
-            return sliced
-        obs.inc("slice_fallback_total")
-    solver = EprSolver(program.vocab, budget=budget)
-    solver.add(obligation.vc, name="vc")
-    for index, constraint in enumerate(extra):
-        solver.add(constraint, name=f"extra{index}")
-    return solver.check()
-
-
-def _unsliced(obligation: Obligation) -> Obligation:
-    """The obligation with its slice stripped (forces a full-VC solve)."""
-    from dataclasses import replace
-
-    return replace(
-        obligation, sliced_vc=None, sliced_vocab=None, sliced_dropped=()
-    )
+    items = _pending(program, conjectures, lemmas, include_no_abort)
+    for item, keys in zip(items, obligation_keys(program, items)):
+        _record(program, item.obligation, keys, ledger, None, engine, None, 0.0)
 
 
 def cti_from_model(program: Program, obligation: Obligation, state: Structure) -> CTI:
@@ -464,110 +632,29 @@ def check_inductive(
     but an otherwise-clean run with unknowns is inconclusive (holds=False,
     cti=None) rather than a proof.
 
-    ``lemmas`` strengthen the premises (see :func:`obligations`).  With a
-    ``ledger`` (:class:`repro.proof.ledger.Ledger`), obligations already
-    recorded as proven are skipped before any solver is built, and each
-    freshly discharged obligation is recorded with provenance (``engine``
-    names the caller in that record).  The skip is sound because the
-    ledger key covers the program, the obligation, and the premise set.
-
-    A ``journal`` gives the same skip with run scope: conclusively
-    discharged obligations are appended as they complete, and a resumed
-    run skips them before building a solver.
+    ``lemmas`` strengthen the premises (see :func:`obligations`).  A
+    ``ledger`` (:class:`repro.proof.ledger.Ledger`) skips obligations
+    already recorded as proven and records fresh ones with provenance
+    (``engine`` names the caller); a ``journal`` gives the same skip with
+    run scope (see :func:`discharge`).  The skip is sound because the key
+    covers the program, the obligation, and the premise set.
     """
-    statistics: dict[str, int] = {}
-    pending = obligations(program, conjectures, lemmas)
-    unknown: list[str] = []
+    items = _pending(program, conjectures, lemmas, include_no_abort=True)
     with profile.engine("induction"), obs.span(
-        "induction", conjectures=len(conjectures), obligations=len(pending)
+        "induction", conjectures=len(conjectures), obligations=len(items)
     ) as sp:
-        ledger_keys: dict[int, tuple[str, str, str, str]] = {}
-        if ledger is not None or journal is not None:
-            pending, ledger_keys, hits, journal_hits = _ledger_split(
-                program, pending, conjectures, lemmas, ledger, journal
-            )
-            if ledger is not None:
-                statistics["ledger_hits"] = hits
-                statistics["ledger_misses"] = len(pending)
-                sp.set(ledger_hits=hits, ledger_misses=len(pending))
-            if journal_hits:
-                statistics["journal_hits"] = journal_hits
-                sp.set(journal_hits=journal_hits)
-        if resolve_jobs(jobs) > 1 and len(pending) > 1:
-            queries = []
-            for obligation in pending:
-                if obligation.sliced_vc is not None:
-                    solver = EprSolver(
-                        obligation.sliced_vocab or program.vocab, budget=budget
-                    )
-                    solver.add(obligation.sliced_vc, name="vc")
-                else:
-                    solver = EprSolver(program.vocab, budget=budget)
-                    solver.add(obligation.vc, name="vc")
-                queries.append(query_of(solver, name=obligation.description))
-            started = time.monotonic()
-            with obs.span("induction.dispatch", queries=len(queries)):
-                batches = solve_queries(queries, jobs=jobs)
-            batch_ms = (time.monotonic() - started) * 1000 / max(len(queries), 1)
-            obs.count_engine_queries(
-                "induction", [result for (result,) in batches]
-            )
-            for index, (obligation, (result,)) in enumerate(zip(pending, batches)):
-                if obligation.sliced_vc is not None and not result.is_unsat:
-                    # sliced SAT/UNKNOWN proves nothing: re-solve the full
-                    # VC in-process before reading a model out of it
-                    obs.inc("slice_fallback_total")
-                    result = check_obligation(
-                        program, _unsliced(obligation), budget=budget
-                    )
-                for key, value in result.statistics.items():
-                    statistics[key] = statistics.get(key, 0) + value
-                if result.unknown:
-                    unknown.append(obligation.description)
-                elif result.satisfiable:
-                    assert result.model is not None
-                    cti = cti_from_model(program, obligation, result.model)
-                    sp.set(holds=False, cti=obligation.description)
-                    return InductionResult(False, cti, statistics, tuple(unknown))
-                else:
-                    _ledger_record(
-                        ledger, ledger_keys.get(index), program, obligation,
-                        engine, budget, batch_ms,
-                    )
-                    _journal_record(journal, ledger_keys.get(index))
-            sp.set(holds=not unknown, unknowns=len(unknown))
-            return InductionResult(not unknown, statistics=statistics,
-                                   unknown_obligations=tuple(unknown))
-        results = []
-        for index, obligation in enumerate(pending):
-            started = time.monotonic()
-            with obs.span(
-                "induction.obligation", description=obligation.description
-            ) as obligation_span:
-                result = check_obligation(program, obligation, budget=budget)
-                obligation_span.set(verdict=result.verdict)
-            elapsed_ms = (time.monotonic() - started) * 1000
-            results.append(result)
-            for key, value in result.statistics.items():
-                statistics[key] = statistics.get(key, 0) + value
-            if result.unknown:
-                unknown.append(obligation.description)
-            elif result.satisfiable:
-                assert result.model is not None
-                obs.count_engine_queries("induction", results)
-                cti = cti_from_model(program, obligation, result.model)
-                sp.set(holds=False, cti=obligation.description)
-                return InductionResult(False, cti, statistics, tuple(unknown))
-            else:
-                _ledger_record(
-                    ledger, ledger_keys.get(index), program, obligation,
-                    engine, budget, elapsed_ms,
-                )
-                _journal_record(journal, ledger_keys.get(index))
-        obs.count_engine_queries("induction", results)
+        run = discharge(program, items, jobs, budget, ledger, journal, engine)
+        statistics = run.statistics
+        stores = ("ledger_hits", "ledger_misses", "journal_hits")
+        sp.set(**{k: statistics[k] for k in stores if k in statistics})
+        unknown = tuple(run.unknown)
+        if run.cti is not None:
+            sp.set(holds=False, cti=run.cti.obligation.description)
+            return InductionResult(False, run.cti, statistics, unknown)
         sp.set(holds=not unknown, unknowns=len(unknown))
-        return InductionResult(not unknown, statistics=statistics,
-                               unknown_obligations=tuple(unknown))
+        return InductionResult(
+            not unknown, statistics=statistics, unknown_obligations=unknown
+        )
 
 
 def check_initiation(program: Program, conjecture: Conjecture) -> EprResult:

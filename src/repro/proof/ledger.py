@@ -192,8 +192,14 @@ class Ledger:
     def __init__(self, root: str) -> None:
         self.root = root
         self._store = ShardedStore(root, ".json")
-        self.hits = 0
-        self.misses = 0
+
+    @property
+    def hits(self) -> int:
+        return self._store.hits
+
+    @property
+    def misses(self) -> int:
+        return self._store.misses
 
     @property
     def write_errors(self) -> int:
@@ -218,25 +224,11 @@ class Ledger:
 
     def proven(self, key: str) -> LedgerEntry | None:
         """The entry recorded under ``key``, or None (miss)."""
-        payload = self._store.read(key)
-        entry = None if payload is None else self._decode(payload, key)
-        if payload is not None and entry is None:
-            # Corrupt, truncated, stale-schema, or hand-edited bytes on
-            # the lock-free read: re-validate under the store lock before
-            # deleting -- a concurrent prove run may have just rewritten
-            # the entry correctly.
-            healed = self._store.heal(
-                key,
-                lambda raw: self._decode(raw, key) is not None,
-                "is corrupt or has a stale schema; treated as unproven",
-            )
-            if healed is not None:
-                entry = self._decode(healed, key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry
+        return self._store.load(
+            key,
+            lambda payload: self._decode(payload, key),
+            "is corrupt or has a stale schema; treated as unproven",
+        )
 
     def record(self, entry: LedgerEntry) -> None:
         """Persist one discharged obligation (atomic, best effort)."""
@@ -256,7 +248,7 @@ class Ledger:
         for key in self._store.digests():
             entry = self.proven(key)
             if entry is not None:
-                self.hits -= 1  # a scan is not a proof lookup
+                self._store.hits -= 1  # a scan is not a proof lookup
                 yield entry
 
     @property

@@ -22,41 +22,29 @@ the conjunction, not of any one node.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Sequence
+import dataclasses
+from dataclasses import dataclass
+from typing import Iterator
 
 from .. import obs
 from ..core.induction import (
     CTI,
+    NO_ABORT,
     Conjecture,
-    Obligation,
-    check_obligation,
-    cti_from_model,
-    obligation_premises,
+    Discharge,
+    ObligationOutcome,
+    Pending,
+    discharge,
+    obligation_keys,
     obligations,
 )
-import dataclasses
-
 from ..rml.ast import Program, ProofDecl, without_aborts
 from ..solver.budget import Budget
-from ..solver.dispatch import query_of, resolve_jobs, solve_queries
-from ..solver.epr import EprSolver
-from .dag import CycleError, ProofDag, build_dag, provers_of
-from .ledger import (
-    Ledger,
-    LedgerEntry,
-    git_rev,
-    keys_of,
-    program_fingerprint,
-    run_id,
-)
+from .dag import ProofDag, build_dag, provers_of
+from .ledger import Ledger, LedgerEntry, program_fingerprint
 
 #: name of the implicit proof node collecting invariants no proof covers
 MAIN_PROOF = "main"
-
-#: the pseudo-invariant name under which no-abort entries are recorded
-NO_ABORT = "<no-abort>"
 
 
 @dataclass(frozen=True)
@@ -144,16 +132,6 @@ def plan_of(program: Program) -> ProofPlan:
 
 
 @dataclass(frozen=True)
-class ObligationOutcome:
-    """How one obligation was resolved."""
-
-    node: str
-    description: str
-    via: str  # "ledger", "journal", "solver", or "unknown"
-    wall_ms: float = 0.0
-
-
-@dataclass(frozen=True)
 class ProveReport:
     """The outcome of discharging a plan's DAG."""
 
@@ -174,15 +152,6 @@ class ProveReport:
         return self.ledger_hits / total if total else 0.0
 
 
-@dataclass(frozen=True)
-class _Work:
-    """One outstanding obligation of a frontier batch."""
-
-    node: str
-    obligation: Obligation
-    keys: tuple[str, str, str, str] | None  # None when ledger+journal are off
-
-
 def _abort_free(program: Program) -> Program:
     """The program with the body's safety asserts weakened to assumes.
 
@@ -195,30 +164,27 @@ def _abort_free(program: Program) -> Program:
     return dataclasses.replace(program, body=without_aborts(program.body))
 
 
-def _node_obligations(
-    plan: ProofPlan, node: ProofNode
-) -> tuple[list[Obligation], tuple[Conjecture, ...]]:
-    """A node's obligations and the lemma conjectures they assume."""
+def _node_items(plan: ProofPlan, node: ProofNode) -> list[Pending]:
+    """A node's obligations, over the abort-free program (its CTIs replay
+    there too), assuming the node's ``with``-lemmas."""
     invariants = plan.invariants
     lemmas = tuple(
         invariants[name] for name in node.lemmas if name in invariants
     )
-    return (
-        obligations(
-            _abort_free(plan.program),
-            node.conjectures,
-            lemmas,
-            include_no_abort=False,
-        ),
-        lemmas,
-    )
+    witness = _abort_free(plan.program)
+    return [
+        Pending(obligation, node.conjectures, lemmas, witness, node.name)
+        for obligation in obligations(
+            witness, node.conjectures, lemmas, include_no_abort=False
+        )
+    ]
 
 
-def _safety_obligations(plan: ProofPlan) -> list[Obligation]:
+def _safety_items(plan: ProofPlan) -> list[Pending]:
     """The program-wide no-abort obligations, over the full invariant."""
     everything = tuple(plan.invariants.values())
     return [
-        obligation
+        Pending(obligation, everything, node=NO_ABORT)
         for obligation in obligations(plan.program, everything)
         if obligation.kind == "safety"
     ]
@@ -234,227 +200,67 @@ def prove(
 ) -> ProveReport:
     """Discharge the plan frontier by frontier, honoring the ledger.
 
-    Within a frontier, every outstanding obligation of every node is
-    dispatched as one batch through the solver pool (``jobs > 1``); the
-    ``dag_frontier_size`` gauge tracks the batch widths and
+    Each frontier's outstanding obligations, over all its nodes, go to
+    :func:`repro.core.induction.discharge` as one batch (one pool batch
+    with ``jobs > 1``), then the program-wide no-abort obligations do;
+    the ``dag_frontier_size`` gauge tracks the frontier widths and
     ``ledger_hit_rate`` summarizes how much of the run was skipped.
-    Stops at the first counterexample (reported with its CTI) or budget
-    exhaustion; a fully discharged plan returns ``ok=True``.
+    Stops at the first counterexample (reported with its CTI); a fully
+    discharged plan returns ``ok=True``, one with budget-exhausted
+    obligations ``ok=False`` and no CTI.
 
     With a ``journal`` (:class:`repro.recovery.journal.Journal`), every
     conclusively discharged obligation is appended as an ``obligation``
     event keyed by its ledger content key, and each completed frontier
-    gets a ``prove.frontier`` marker.  A resumed run replays those
-    events in :func:`collect` (outcome ``via="journal"``) so the killed
-    run's solved obligations are never re-dispatched.
+    gets a ``prove.frontier`` marker.  A resumed run skips the replayed
+    obligations (outcome ``via="journal"``), so the killed run's solved
+    obligations are never re-dispatched.
     """
     program = plan.program
-    keyed = ledger is not None or journal is not None
-    program_hash = program_fingerprint(program) if keyed else ""
-    outcomes: list[ObligationOutcome] = []
-    unknown: list[str] = []
-    hits = misses = queries = journal_hits = 0
     frontiers = tuple(plan.frontiers())
 
-    def collect(
-        node_name: str,
-        pending: list[Obligation],
-        conjectures: Sequence[Conjecture],
-        lemmas: Sequence[Conjecture],
-    ) -> list[_Work]:
-        nonlocal hits, misses, journal_hits
-        work: list[_Work] = []
-        for obligation in pending:
-            keys = None
-            if keyed:
-                keys = keys_of(
-                    program,
-                    obligation,
-                    obligation_premises(obligation, conjectures, lemmas),
-                    program_hash=program_hash,
-                )
-                if ledger is not None and ledger.proven(keys[0]) is not None:
-                    hits += 1
-                    outcomes.append(
-                        ObligationOutcome(
-                            node_name, obligation.description, "ledger"
-                        )
-                    )
-                    continue
-                if journal is not None:
-                    replayed = journal.replay("obligation", keys[0])
-                    if (
-                        replayed is not None
-                        and replayed.get("verdict") == "unsat"
-                    ):
-                        journal_hits += 1
-                        outcomes.append(
-                            ObligationOutcome(
-                                node_name, obligation.description, "journal"
-                            )
-                        )
-                        continue
-                if ledger is not None:
-                    misses += 1
-            work.append(_Work(node_name, obligation, keys))
-        return work
-
-    def discharge(work: list[_Work]) -> ProveReport | None:
-        """Solve a batch; record proofs; a report means failure/stop."""
-        nonlocal queries
-        if not work:
-            return None
-        # Items sharing a ledger key are the same semantic obligation
-        # (same program, post, and premise set -- e.g. equal-formula
-        # invariants in one node): solve one representative each.
-        solve: list[_Work] = []
-        representative: dict[str, int] = {}
-        backing: list[int] = []
-        for item in work:
-            key = item.keys[0] if item.keys is not None else None
-            if key is not None and key in representative:
-                backing.append(representative[key])
-                continue
-            if key is not None:
-                representative[key] = len(solve)
-            backing.append(len(solve))
-            solve.append(item)
-        queries += len(solve)
-        started = time.monotonic()
-        if resolve_jobs(jobs) > 1 and len(solve) > 1:
-            batch = []
-            for item in solve:
-                solver = EprSolver(program.vocab, budget=budget)
-                solver.add(item.obligation.vc, name="vc")
-                batch.append(
-                    query_of(solver, name=item.obligation.description)
-                )
-            with obs.span("prove.dispatch", queries=len(batch)):
-                results = [
-                    result
-                    for (result,) in solve_queries(batch, jobs=jobs)
-                ]
-            obs.count_engine_queries(engine, results)
-        else:
-            results = []
-            for item in solve:
-                result = check_obligation(
-                    program, item.obligation, budget=budget
-                )
-                results.append(result)
-            obs.count_engine_queries(engine, results)
-        wall_ms = (time.monotonic() - started) * 1000 / len(solve)
-        recorded: set[str] = set()
-        for item, result in zip(work, (results[i] for i in backing)):
-            if result.unknown:
-                unknown.append(item.obligation.description)
-                outcomes.append(
-                    ObligationOutcome(
-                        item.node, item.obligation.description, "unknown"
-                    )
-                )
-                continue
-            if result.satisfiable:
-                assert result.model is not None
-                # Node consecution was checked against the abort-free
-                # body; replay the witness through the same semantics.
-                witness_program = (
-                    program
-                    if item.obligation.kind == "safety"
-                    else _abort_free(program)
-                )
-                cti = cti_from_model(
-                    witness_program, item.obligation, result.model
-                )
-                return ProveReport(
-                    False,
-                    program.name,
-                    frontiers,
-                    tuple(outcomes),
-                    hits,
-                    misses,
-                    queries,
-                    failed_node=item.node,
-                    cti=cti,
-                    unknown=tuple(unknown),
-                )
-            outcomes.append(
-                ObligationOutcome(
-                    item.node, item.obligation.description, "solver", wall_ms
-                )
-            )
-            if item.keys is not None and item.keys[0] not in recorded:
-                recorded.add(item.keys[0])
-                if journal is not None:
-                    journal.append(
-                        "obligation", item.keys[0], verdict="unsat"
-                    )
-                if ledger is not None:
-                    _, phash, ohash, lhash = item.keys
-                    ledger.record(
-                        LedgerEntry(
-                            program=program.name,
-                            invariant=item.obligation.target or NO_ABORT,
-                            kind=item.obligation.kind,
-                            program_hash=phash,
-                            obligation_hash=ohash,
-                            lemma_hash=lhash,
-                            engine=engine,
-                            budget=str(budget) if budget is not None else None,
-                            git_rev=git_rev(),
-                            run_id=run_id(),
-                            wall_ms=wall_ms,
-                        )
-                    )
-        return None
-
-    with obs.span(
-        "prove", program=program.name, nodes=len(plan.nodes)
-    ) as sp:
+    def batches() -> Iterator[list[Pending]]:
         for index, frontier in enumerate(frontiers):
             obs.set_gauge("dag_frontier_size", len(frontier))
-            work: list[_Work] = []
-            for node_name in frontier:
-                node = plan.node_named(node_name)
-                pending, lemmas = _node_obligations(plan, node)
-                work.extend(
-                    collect(node_name, pending, node.conjectures, lemmas)
-                )
-            failure = discharge(work)
-            if failure is not None:
-                sp.set(ok=False, failed=failure.failed_node)
-                return failure
+            yield [
+                item
+                for name in frontier
+                for item in _node_items(plan, plan.node_named(name))
+            ]
             if journal is not None:
-                frontier_key = f"{program_hash}:frontier:{index}"
+                frontier_key = f"{program_fingerprint(program)}:frontier:{index}"
                 if journal.peek("prove.frontier", frontier_key) is None:
                     journal.append(
                         "prove.frontier", frontier_key, nodes=list(frontier)
                     )
-        # Program-wide safety (no-abort) over the full invariant.
-        everything = tuple(plan.invariants.values())
-        failure = discharge(
-            collect(NO_ABORT, _safety_obligations(plan), everything, ())
-        )
-        if failure is not None:
-            sp.set(ok=False, failed=failure.failed_node)
-            return failure
+        yield _safety_items(plan)
+
+    run = Discharge()
+    with obs.span(
+        "prove", program=program.name, nodes=len(plan.nodes)
+    ) as sp:
+        for items in batches():
+            discharge(
+                program, items, jobs, budget, ledger, journal, engine,
+                label=engine, run=run,
+            )
+            if run.failed is not None:
+                break
+        statistics = run.statistics
+        hits = statistics.get("ledger_hits", 0)
+        misses = statistics.get("ledger_misses", 0)
         total = hits + misses
         obs.set_gauge("ledger_hit_rate", hits / total if total else 1.0)
-        obs.inc("ledger_hits", hits)
-        obs.inc("ledger_misses", misses)
-        ok = not unknown
-        if journal_hits:
-            sp.set(journal_hits=journal_hits)
-        sp.set(ok=ok, ledger_hits=hits, queries=queries)
+        failed = run.failed.node if run.failed is not None else None
+        ok = failed is None and not run.unknown
+        if failed is not None:
+            sp.set(failed=failed)
+        if "journal_hits" in statistics:
+            sp.set(journal_hits=statistics["journal_hits"])
+        sp.set(ok=ok, ledger_hits=hits, queries=run.solved)
         return ProveReport(
-            ok,
-            program.name,
-            frontiers,
-            tuple(outcomes),
-            hits,
-            misses,
-            queries,
-            unknown=tuple(unknown),
+            ok, program.name, frontiers, tuple(run.outcomes), hits, misses,
+            run.solved, failed, run.cti, tuple(run.unknown),
         )
 
 
@@ -489,18 +295,9 @@ def status(plan: ProofPlan, ledger: Ledger) -> tuple[InvariantStatus, ...]:
         if entry.program == program.name and entry.program_hash != program_hash:
             historical[entry.invariant] = True
 
-    def resolve(
-        name: str, node_name: str, pending: list[Obligation],
-        conjectures: Sequence[Conjecture], lemmas: Sequence[Conjecture],
-    ) -> InvariantStatus:
+    def resolve(name: str, node_name: str, items: list[Pending]) -> InvariantStatus:
         found: list[LedgerEntry] = []
-        for obligation in pending:
-            keys = keys_of(
-                program,
-                obligation,
-                obligation_premises(obligation, conjectures, lemmas),
-                program_hash=program_hash,
-            )
+        for keys in obligation_keys(program, items):
             entry = ledger.proven(keys[0])
             if entry is None:
                 state = "stale" if historical.get(name) else "unproven"
@@ -509,16 +306,11 @@ def status(plan: ProofPlan, ledger: Ledger) -> tuple[InvariantStatus, ...]:
         return InvariantStatus(name, node_name, "proven", tuple(found))
 
     for node in plan.nodes:
-        pending, lemmas = _node_obligations(plan, node)
+        items = _node_items(plan, node)
         for conjecture in node.conjectures:
-            mine = [o for o in pending if o.target == conjecture.name]
-            rows.append(
-                resolve(
-                    conjecture.name, node.name, mine, node.conjectures, lemmas
-                )
-            )
-    safeties = _safety_obligations(plan)
+            mine = [i for i in items if i.obligation.target == conjecture.name]
+            rows.append(resolve(conjecture.name, node.name, mine))
+    safeties = _safety_items(plan)
     if safeties:
-        everything = tuple(plan.invariants.values())
-        rows.append(resolve(NO_ABORT, NO_ABORT, safeties, everything, ()))
+        rows.append(resolve(NO_ABORT, NO_ABORT, safeties))
     return tuple(rows)

@@ -80,11 +80,20 @@ def beat(force: bool = False) -> None:
 
 
 def heartbeat_timeout() -> float:
-    """``REPRO_HEARTBEAT_TIMEOUT`` seconds (default 300; <= 0 disables)."""
+    """``REPRO_HEARTBEAT_TIMEOUT`` seconds (default 300; <= 0 disables).
+
+    A malformed value warns (:func:`repro.solver.budget.warn_env`) and
+    gives the default.  It is read per pool batch, so it is then blanked
+    to warn once.
+    """
     raw = os.environ.get("REPRO_HEARTBEAT_TIMEOUT", "").strip()
     if not raw:
         return DEFAULT_TIMEOUT
     try:
         return float(raw)
     except ValueError:
+        from ..solver.budget import warn_env
+
+        warn_env("REPRO_HEARTBEAT_TIMEOUT", raw, "expected a number of seconds")
+        os.environ["REPRO_HEARTBEAT_TIMEOUT"] = ""
         return DEFAULT_TIMEOUT

@@ -88,8 +88,14 @@ class DiskCache:
     def __init__(self, root: str) -> None:
         self.root = root
         self._store = ShardedStore(root, ".pkl")
-        self.hits = 0
-        self.misses = 0
+
+    @property
+    def hits(self) -> int:
+        return self._store.hits
+
+    @property
+    def misses(self) -> int:
+        return self._store.misses
 
     @property
     def write_errors(self) -> int:
@@ -113,25 +119,11 @@ class DiskCache:
         return result
 
     def lookup(self, key: Hashable) -> "EprResult | None":
-        digest = self._digest(key)
-        payload = self._store.read(digest)
-        result = None if payload is None else self._decode(payload, key)
-        if payload is not None and result is None:
-            # Bad bytes on the lock-free read: re-validate under the store
-            # lock before deleting, in case a concurrent writer repaired
-            # the entry between our read and now.
-            healed = self._store.heal(
-                digest,
-                lambda raw: self._decode(raw, key) is not None,
-                "is corrupt, truncated, or stale-format; treated as a miss",
-            )
-            if healed is not None:
-                result = self._decode(healed, key)
-        if result is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        return self._store.load(
+            self._digest(key),
+            lambda payload: self._decode(payload, key),
+            "is corrupt, truncated, or stale-format; treated as a miss",
+        )
 
     def store(self, key: Hashable, result: "EprResult") -> None:
         try:

@@ -259,6 +259,10 @@ class _Task:
     engine: str | None = None
 
 
+#: seconds an idle pool worker waits between checks that its parent lives
+ORPHAN_POLL_SECONDS = 1.0
+
+
 def _pool_worker_main(task_conn, result_conn, hb_conn) -> None:
     """Long-lived worker loop: pull tasks until the pipe closes.
 
@@ -275,8 +279,15 @@ def _pool_worker_main(task_conn, result_conn, hb_conn) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     faults.mark_worker()
     heartbeat.arm(hb_conn)
+    parent = os.getppid()
     while True:
         try:
+            # Every worker inherits the task pipes' write ends open at
+            # its fork, its own included, so a SIGKILLed parent never
+            # closes them: poll, and leave once orphaned.
+            while not task_conn.poll(ORPHAN_POLL_SECONDS):
+                if os.getppid() != parent:
+                    return
             task = task_conn.recv()
         except (EOFError, OSError):
             break

@@ -205,12 +205,14 @@ def unknown_result(
 def unanswered(reason: FailureReason) -> EprResult:
     """An UNKNOWN for a query that gave up before any solve ran.
 
-    Counted like every answer (``queries_total`` and a cache miss), since
-    :meth:`PreparedEpr.solve`, which counts the others, never saw it.
+    Counted like every answer (``queries_total``, and a cache miss when
+    a cache is installed), since :meth:`PreparedEpr.solve`, which counts
+    the others, never saw it.
     """
     if obs.metrics_enabled():
         obs.inc("queries_total", verdict="unknown")
-        obs.inc("cache_misses_total")
+        if query_cache() is not None:
+            obs.inc("cache_misses_total")
     return unknown_result(reason)
 
 
@@ -375,8 +377,9 @@ class EprSolver:
         with obs.span("epr.prepare", constraints=len(self._constraints)) as sp:
             with profile.collect() as prof, _gc_paused():
                 prepared = self._prepare()
-                with profile.phase("cache"):
-                    prepared._digest = self._input_digest()
+                if query_cache() is not None:
+                    with profile.phase("cache"):
+                        prepared._digest = self._input_digest()
             prepared._missed, self._missed = self._missed, set()
             sp.set(instances=prepared.instance_count)
             if prof.wall:
@@ -784,7 +787,8 @@ class PreparedEpr:
         #: formula ids of the instances asserted without a selector
         self._asserted: set[int] = set()
         self.instance_count = 0
-        self._digest = ""  # the owner's input digest, set by prepare()
+        #: the owner's input digest, set by prepare() when a cache is on
+        self._digest = ""
         #: enabled sets the owner looked up and missed before grounding
         self._missed: set[tuple[str, ...] | None] = set()
         self._meter: BudgetMeter | None = None  # active during prepare/solve
@@ -816,7 +820,7 @@ class PreparedEpr:
         names = None if enabled is None else frozenset(enabled)
         cache = query_cache()
         key = None
-        if cache is not None:
+        if cache is not None and self._digest:
             key = (self._fingerprint(), _enabled_key(names))
             if key[1] in self._missed:
                 self._missed.discard(key[1])  # the owner just missed it
@@ -852,7 +856,8 @@ class PreparedEpr:
             )
             if obs.metrics_enabled():
                 obs.inc("queries_total", verdict=outcome.verdict)
-                obs.inc("cache_misses_total")
+                if key is not None:
+                    obs.inc("cache_misses_total")
                 obs.observe("query_latency_ms", statistics.get("solve_ms", 0))
                 obs.observe("grounded_instances", self.instance_count)
                 for counter in WORK_COUNTERS:

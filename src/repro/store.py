@@ -43,9 +43,11 @@ import os
 import random
 import tempfile
 import time
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 from . import obs
+
+T = TypeVar("T")
 
 try:  # pragma: no cover - POSIX only; gated at use sites
     import fcntl
@@ -114,13 +116,15 @@ class ShardedStore:
 
     ``suffix`` distinguishes the entry format (``.pkl``, ``.json``); the
     bytes themselves are opaque here -- owners serialize/validate.
-    ``write_errors`` counts entries that could not be persisted even
-    after retries.
+    ``hits``/``misses`` count :meth:`load` results; ``write_errors``
+    counts entries that could not be persisted even after retries.
     """
 
     def __init__(self, root: str, suffix: str) -> None:
         self.root = root
         self.suffix = suffix
+        self.hits = 0
+        self.misses = 0
         self.write_errors = 0
         self._warned: set[str] = set()
 
@@ -179,6 +183,31 @@ class ShardedStore:
             return None
         except OSError:
             return None
+
+    def load(
+        self, digest: str, decode: Callable[[bytes], T | None], reason: str
+    ) -> T | None:
+        """The entry ``decode`` makes of the stored bytes, or None (miss).
+
+        ``decode`` returns None for bytes that fail the owner's
+        validation.  Such bytes on the lock-free :meth:`read` are
+        re-validated under the store lock before being deleted
+        (:meth:`heal`, warning once with ``reason``): a concurrent writer
+        may have just replaced them with a good entry.
+        """
+        payload = self.read(digest)
+        value = None if payload is None else decode(payload)
+        if payload is not None and value is None:
+            healed = self.heal(
+                digest, lambda raw: decode(raw) is not None, reason
+            )
+            if healed is not None:
+                value = decode(healed)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
 
     # ------------------------------------------------------------ writes
 

@@ -111,6 +111,34 @@ class TestTracedWarmRerun:
         queries, sat, unsat, unknown, cached = row.split()[2:7]
         assert queries == unsat == cached == str(len(solves))
 
+    def test_obligation_spans_name_their_source(self, tmp_path, capsys):
+        runs = iter(range(4))
+
+        def obligation_spans(argv):
+            trace = tmp_path / f"trace{next(runs)}.jsonl"
+            assert main(argv + ["--trace", str(trace)]) == 0
+            _, nodes, _ = obs.build_tree(obs.load_trace(str(trace)))
+            return [
+                node.attrs for node in nodes.values()
+                if node.name == "induction.obligation"
+            ]
+
+        cold = obligation_spans(["check", "lock_server"])
+        warm = obligation_spans(["check", "lock_server"])
+        assert len(cold) == len(warm) == 19
+        assert {span["source"] for span in cold} == {"fresh"}
+        for span in warm:
+            assert span["source"] == "cache"
+            assert span["verdict"] == "unsat" and span["fallback"] is False
+        assert [span["description"] for span in warm] == [
+            span["description"] for span in cold
+        ]
+        ledger = ["--ledger-dir", str(tmp_path / "ledger")]
+        proved = obligation_spans(["prove", "lock_server", *ledger])
+        reproved = obligation_spans(["prove", "lock_server", *ledger])
+        assert len(proved) == len(reproved) == 19
+        assert {span["source"] for span in reproved} == {"ledger"}
+
 
 class TestTracedVerify:
     def test_verify_bundled_example(self, tmp_path, capsys):

@@ -204,6 +204,38 @@ def test_identical_obligations_share_one_ledger_entry(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "name, instances", [("lock_server", 597), ("leader_election", 4558)]
+)
+def test_parallel_and_serial_prove_agree(name, instances, tmp_path, monkeypatch):
+    """``-j 2`` discharges like ``-j 1``: sliced queries, same answers."""
+    from repro import obs
+    from repro.protocols import ALL_PROTOCOLS
+    from repro.solver.dispatch import shutdown_pool
+
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    plan = plan_of(ALL_PROTOCOLS[name].build().program)
+    runs = []
+    for jobs in (1, 2):
+        root = str(tmp_path / f"jobs{jobs}")
+        registry = obs.MetricsRegistry()
+        old = obs.install_metrics(registry)
+        try:
+            report = prove(plan, jobs=jobs, ledger=Ledger(root))
+        finally:
+            obs.install_metrics(old)
+            shutdown_pool()
+        counters = registry.to_dict()["counters"]
+        runs.append((
+            report.ok,
+            [(o.node, o.description, o.via) for o in report.outcomes],
+            sorted(entry.key for entry in Ledger(root).entries()),
+            counters["solver_work_total{counter=instances}"],
+        ))
+    assert runs[0] == runs[1]
+    assert runs[0][0] and runs[0][3] == instances
+
+
 def test_prove_reports_cti_on_buggy_protocol(tmp_path):
     broken = parse_program(
         DIAMOND_SOURCE.replace(

@@ -185,3 +185,44 @@ class TestNoOrphans:
                 os.killpg(process.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+
+    def test_killed_parent_leaves_no_idle_worker(self, tmp_path):
+        """SIGKILL of the dispatching process: its idle pool workers
+        notice they are orphaned and exit instead of lingering."""
+        code = (
+            "import time\n"
+            "from repro.solver.dispatch import worker_pool\n"
+            "worker_pool().ensure(2)\n"
+            "print('ready', flush=True)\n"
+            "time.sleep(600)\n"
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-c", code],
+            cwd=str(tmp_path), env=dict(os.environ, PYTHONPATH=SRC),
+            start_new_session=True, stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            assert process.stdout.readline().strip() == "ready"
+            workers = self._children_of(process.pid)
+            assert len(workers) == 2
+            process.kill()
+            process.wait(timeout=10)
+
+            def running(pid):
+                try:
+                    with open(f"/proc/{pid}/stat") as handle:
+                        state = handle.read().rsplit(")", 1)[1].split()[0]
+                except OSError:
+                    return False
+                return state != "Z"  # an exited orphan awaiting its reaper
+
+            deadline = time.monotonic() + 20
+            while any(map(running, workers)):
+                if time.monotonic() > deadline:
+                    pytest.fail(f"orphaned workers still running: {workers}")
+                time.sleep(0.1)
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

@@ -61,9 +61,21 @@ class TestTimeout:
         monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "7.5")
         assert heartbeat.heartbeat_timeout() == 7.5
 
-    def test_malformed_falls_back(self, monkeypatch):
+    def test_malformed_falls_back(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "soon")
         assert heartbeat.heartbeat_timeout() == heartbeat.DEFAULT_TIMEOUT
+        assert (
+            "ignoring malformed REPRO_HEARTBEAT_TIMEOUT='soon'"
+            in capsys.readouterr().err
+        )
+        # warned once: later batches read the default silently
+        assert heartbeat.heartbeat_timeout() == heartbeat.DEFAULT_TIMEOUT
+        assert capsys.readouterr().err == ""
+
+    def test_non_positive_disables(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "0")
+        assert heartbeat.heartbeat_timeout() == 0.0
+        assert capsys.readouterr().err == ""
 
 
 needs_fork = pytest.mark.skipif(

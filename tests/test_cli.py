@@ -228,6 +228,24 @@ class TestCliStats:
             if key.startswith("queries_total")
         ) > 0
 
+    @pytest.mark.parametrize("flag", [True, False], ids=["flag", "env"])
+    def test_cache_off_reports_no_cache_activity(
+        self, flag, monkeypatch, tmp_path, capsys
+    ):
+        # --no-cache and REPRO_CACHE=0: no misses and no cache phase
+        monkeypatch.setenv("REPRO_CACHE", "1" if flag else "0")
+        metrics = tmp_path / "m.json"
+        argv = ["check", "lock_server", "--stats", "--metrics", str(metrics)]
+        assert main(argv + (["--no-cache"] if flag else [])) == 0
+        out = capsys.readouterr().out
+        printed = _stats_numbers(out)
+        assert printed["cache_hits_total"] == printed["cache_misses_total"] == 0
+        assert printed["queries_total{verdict=unsat}"] > 0
+        assert "[cache]" not in out
+        snapshot = json.loads(metrics.read_text())
+        assert "cache_misses_total" not in snapshot["counters"]
+        assert not any("phase=cache" in key for key in snapshot["histograms"])
+
     def test_evictions_reach_stats_and_metrics(
         self, monkeypatch, tmp_path, capsys
     ):
