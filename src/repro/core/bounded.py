@@ -13,21 +13,31 @@ Two entry points:
 * :func:`check_k_invariance` -- is a forall*exists* assertion k-invariant?
 * :func:`find_error_trace` -- can any assertion (``abort``) be violated
   within ``k`` iterations?  This is the "debug the model first" phase.
+
+Both, and the reachability test of a generalization
+(:func:`repro.core.generalize.check_unreachable`), are thin wrappers over
+one probe loop, :func:`run_probes`: it replays journaled probes, takes
+the rest from the dispatch answer stream (serial and lazy, or one pool
+batch with ``jobs > 1``), journals each fresh UNSAT, and folds the
+answers into a trace, an unknown, or "holds".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .. import obs
 from ..obs import profile
 from ..logic import syntax as s
 from ..logic.fragments import is_forall_exists
+from ..logic.printer import fingerprint
 from ..logic.structures import Structure
 from ..rml.ast import Program
 from ..rml.encode import Env, StepEncoding, TransitionEncoder, project_state
 from ..solver.budget import Budget, FailureReason
-from ..solver.dispatch import query_of, resolve_jobs, solve_queries
+from ..solver.dispatch import answers
 from ..solver.epr import EprResult, EprSolver
 from .trace import Trace
 
@@ -130,24 +140,94 @@ class _Unroller:
         return "step"
 
 
-def _replayed_unsat() -> EprResult:
-    """A synthetic conclusive-unsat result standing in for journaled work."""
-    return EprResult(False, statistics={"journal_hits": 1})
+class Probe(NamedTuple):
+    """One independent bounded query: a depth, its solver, its journal key."""
+
+    depth: int  # loop iterations before the probed state
+    name: str  # query name on the worker pool
+    key: str  # journal key (unused without a journal)
+    build: Callable[[], EprSolver]  # the loaded solver, built on demand
 
 
-def _invariance_keys(program: Program, phi: s.Formula, k: int, journal) -> dict:
-    """Journal keys for every depth of one k-invariance check."""
+def run_probes(
+    unroller: _Unroller,
+    kind: str,
+    bound: int,
+    span: str,
+    probes: Iterable[Probe],
+    journal=None,
+    jobs: int | None = None,
+    aborted: bool = False,
+) -> BoundedResult:
+    """Answer ``probes`` in order and fold them into one verdict.
+
+    The one probe loop of every bounded check.  A probe the ``journal``
+    holds as refuted (event kind ``span``) is answered from it; the rest
+    take one :func:`~repro.solver.dispatch.answers` stream, so serially
+    the first SAT ends the solving and with ``jobs > 1`` the live probes
+    form one pool batch.  Each fresh UNSAT is journaled.  Every probe
+    gets one ``span`` span ending with its ``verdict`` and ``source``
+    (journal, cache or fresh); ``engine_queries_total{engine=bmc}``
+    counts solver answers only.
+
+    The first SAT probe (in order) is the violation, whatever unknowns
+    came before it; otherwise any UNKNOWN makes the result unknown with
+    ``verified_depth`` just below the shallowest unanswered depth.
+    """
+    statistics: dict[str, int] = {}
+    failures: list[tuple[int, FailureReason]] = []
+    with profile.engine("bmc"), obs.span("bmc", kind=kind, bound=bound) as sp:
+        probes = list(probes)
+        replayed = [_refuted(journal, span, probe.key) for probe in probes]
+        stream = answers(
+            [(p.name, p.build) for p, done in zip(probes, replayed) if not done],
+            jobs,
+        )
+        for probe, done in zip(probes, replayed):
+            with obs.span(span, depth=probe.depth) as probe_span:
+                if done:
+                    probe_span.set(verdict="unsat", source="journal")
+                    _accumulate(statistics, {"journal_hits": 1})
+                    continue
+                result = next(stream)
+                source = "cache" if result.cached else "fresh"
+                probe_span.set(verdict=result.verdict, source=source)
+            obs.count_engine_queries("bmc", (result,))
+            _accumulate(statistics, result.statistics)
+            if result.satisfiable:
+                sp.set(holds=False, violation_depth=probe.depth)
+                trace = unroller.trace_from(result, probe.depth, aborted)
+                return BoundedResult(False, bound, trace, probe.depth, statistics)
+            if result.unknown:
+                failures.append((probe.depth, result.failure))
+            elif journal is not None:
+                journal.append(span, probe.key, verdict="unsat")
+        if failures:
+            sp.set(holds=False, unknown=True)
+            return BoundedResult(
+                False, bound, statistics=statistics, unknown=True,
+                verified_depth=min(depth for depth, _ in failures) - 1,
+                failures=tuple(failures),
+            )
+        sp.set(holds=True)
+        return BoundedResult(True, bound, statistics=statistics)
+
+
+def _refuted(journal, kind: str, key: str) -> bool:
+    """Does the journal hold the probe under ``key`` as refuted?"""
     if journal is None:
-        return {}
-    from ..logic.printer import fingerprint
+        return False
+    data = journal.replay(kind, key)
+    return data is not None and data.get("verdict") == "unsat"
+
+
+def _program_hash(program: Program, journal) -> str:
+    """The program fingerprint that starts journal keys ("" without one)."""
+    if journal is None:
+        return ""
     from ..proof.ledger import program_fingerprint
 
-    program_hash = program_fingerprint(program)
-    phi_hash = fingerprint(phi)
-    return {
-        depth: f"{program_hash}:kinv:{phi_hash}:{depth}"
-        for depth in range(k + 1)
-    }
+    return program_fingerprint(program)
 
 
 def check_k_invariance(
@@ -165,10 +245,10 @@ def check_k_invariance(
     exists*forall*).  On failure the returned trace ends in a state
     violating ``phi`` after ``depth`` iterations.
 
-    The per-depth queries are independent; with ``jobs > 1`` (or
-    ``REPRO_JOBS`` set) they are solved in parallel across worker
-    processes, reporting the shallowest violation.  Serial mode stops at
-    the first violating depth instead.
+    One probe per depth, answered by :func:`run_probes`: serially the
+    first violating depth ends the check; with ``jobs > 1`` (or
+    ``REPRO_JOBS`` set) the depths are one pool batch.  Either way the
+    shallowest violation is reported.
 
     With a ``budget``, depths that exhaust it degrade to UNKNOWN instead
     of hanging: a violation found at *any* depth is still reported (it is
@@ -186,69 +266,19 @@ def check_k_invariance(
     if not is_forall_exists(phi):
         raise ValueError(f"k-invariance needs a forall*exists* formula, got: {phi}")
     unroller = unroller or _Unroller(program, budget)
-    statistics: dict[str, int] = {}
-    keys = _invariance_keys(program, phi, k, journal)
-    with profile.engine("bmc"), obs.span("bmc", kind="invariance", bound=k) as sp:
-        replayed: dict[int, EprResult] = {}
-        if journal is not None:
-            for depth in range(k + 1):
-                data = journal.replay("bmc.depth", keys[depth])
-                if data is not None and data.get("verdict") == "unsat":
-                    replayed[depth] = _replayed_unsat()
-        if resolve_jobs(jobs) > 1 and k > 0:
-            depths = [d for d in range(k + 1) if d not in replayed]
-            queries = []
-            for depth in depths:
-                solver = unroller.solver_at(depth)
-                goal = unroller.encoder._rename(s.not_(phi), unroller.envs[depth])
-                solver.add(goal, name="goal")
-                queries.append(query_of(solver, name=f"depth{depth}"))
-            with obs.span("bmc.dispatch", queries=len(queries)):
-                batches = solve_queries(queries, jobs=jobs)
-            solved = dict(zip(depths, (result for (result,) in batches)))
-            if journal is not None:
-                for depth in depths:
-                    if solved[depth].is_unsat:
-                        journal.append("bmc.depth", keys[depth], verdict="unsat")
-            results = [
-                replayed.get(depth, solved.get(depth)) for depth in range(k + 1)
-            ]
-        else:
-            results = []
-            for depth in range(k + 1):
-                if depth in replayed:
-                    results.append(replayed[depth])
-                    continue
-                solver = unroller.solver_at(depth)
-                goal = unroller.encoder._rename(s.not_(phi), unroller.envs[depth])
-                solver.add(goal, name="goal")
-                with obs.span("bmc.depth", depth=depth) as depth_span:
-                    result = solver.check()
-                    depth_span.set(verdict=result.verdict)
-                if journal is not None and result.is_unsat:
-                    journal.append("bmc.depth", keys[depth], verdict="unsat")
-                results.append(result)
-                if result.satisfiable:
-                    break
-        _engine_metrics("bmc", [r for r in results if r is not None])
-        failures: list[tuple[int, FailureReason]] = []
-        for depth, result in enumerate(results):
-            _accumulate(statistics, result.statistics)
-            if result.satisfiable:
-                trace = unroller.trace_from(result, depth, aborted=False)
-                sp.set(holds=False, violation_depth=depth)
-                return BoundedResult(False, k, trace, depth, statistics)
-            if result.unknown:
-                failures.append((depth, result.failure))
-        if failures:
-            sp.set(holds=False, unknown=True)
-            return BoundedResult(
-                False, k, statistics=statistics, unknown=True,
-                verified_depth=min(depth for depth, _ in failures) - 1,
-                failures=tuple(failures),
-            )
-        sp.set(holds=True)
-        return BoundedResult(True, k, statistics=statistics)
+    prefix = f"{_program_hash(program, journal)}:kinv:{fingerprint(phi)}"
+
+    def violation_at(depth: int) -> EprSolver:
+        solver = unroller.solver_at(depth)
+        goal = unroller.encoder._rename(s.not_(phi), unroller.envs[depth])
+        solver.add(goal, name="goal")
+        return solver
+
+    probes = [
+        Probe(depth, f"depth{depth}", f"{prefix}:{depth}", partial(violation_at, depth))
+        for depth in range(k + 1)
+    ]
+    return run_probes(unroller, "invariance", k, "bmc.depth", probes, journal, jobs)
 
 
 def find_error_trace(
@@ -263,114 +293,53 @@ def find_error_trace(
     Checks, at each depth j <= k, whether executing the body or the
     finalization command from the j-th loop-head state can reach ``abort``.
     This is the bounded-debugging phase of Figure 3.  The depth/command
-    probes are independent and are fanned out like
-    :func:`check_k_invariance` when ``jobs > 1``.  Probes that exhaust the
-    ``budget`` degrade to UNKNOWN; see :class:`BoundedResult`.
+    probes go through :func:`run_probes` like :func:`check_k_invariance`'s
+    depths.  Probes that exhaust the ``budget`` degrade to UNKNOWN; see
+    :class:`BoundedResult`.
 
     With a ``journal``, conclusively refuted probes are recorded as they
-    complete and replayed on resume without building their solvers; a sat
-    probe is never journaled (its model -- the error trace -- is not
+    are answered and replayed on resume without building their solvers; a
+    sat probe is never journaled (its model -- the error trace -- is not
     persisted, so it must be re-solved), which keeps the resumed verdict
     identical.
     """
     unroller = _Unroller(program, budget)
-    statistics: dict[str, int] = {}
-    program_hash = ""
-    if journal is not None:
-        from ..proof.ledger import program_fingerprint
+    program_hash = _program_hash(program, journal)
 
-        program_hash = program_fingerprint(program)
-    with profile.engine("bmc"), obs.span("bmc", kind="error-trace", bound=k) as sp:
-        probes: list[tuple[int, EprSolver | None, str]] = []
-        replayed: dict[int, EprResult] = {}
+    def abort_at(depth: int, abort: s.Formula) -> EprSolver:
+        solver = unroller.solver_at(depth)
+        solver.add(abort, name="abort")
+        return solver
+
+    def probes() -> Iterator[Probe]:
+        index = 0
         for depth in range(k + 1):
             unroller.extend_to(depth)
             env = unroller.envs[depth]
             for command, label in ((program.body, "body"), (program.final, "final")):
-                # encode_step runs even for replayed probes: it advances
-                # the encoder's symbol minting, keeping later probes'
-                # encodings identical to the killed run's.
+                # Every probe is encoded, replayed ones too: encode_step
+                # advances the encoder's symbol minting, keeping later
+                # probes' encodings identical to the killed run's.
                 abort = unroller.encoder.encode_step(
                     command, env, f"abort{depth}_{label}"
                 ).abort_formula
                 if abort == s.FALSE:
                     continue
                 key = f"{program_hash}:abort:{depth}:{label}"
-                if journal is not None:
-                    data = journal.replay("bmc.probe", key)
-                    if data is not None and data.get("verdict") == "unsat":
-                        replayed[len(probes)] = _replayed_unsat()
-                        probes.append((depth, None, key))
-                        continue
-                solver = unroller.solver_at(depth)
-                solver.add(abort, name="abort")
-                probes.append((depth, solver, key))
-        if resolve_jobs(jobs) > 1 and len(probes) - len(replayed) > 1:
-            live = [
-                (index, solver)
-                for index, (_, solver, _) in enumerate(probes)
-                if solver is not None
-            ]
-            queries = [
-                query_of(solver, name=f"abort{index}") for index, solver in live
-            ]
-            with obs.span("bmc.dispatch", queries=len(queries)):
-                batches = solve_queries(queries, jobs=jobs)
-            solved = dict(
-                zip((index for index, _ in live), (result for (result,) in batches))
-            )
-            if journal is not None:
-                for index, _ in live:
-                    if solved[index].is_unsat:
-                        journal.append(
-                            "bmc.probe", probes[index][2], verdict="unsat"
-                        )
-            results = [
-                replayed.get(index, solved.get(index))
-                for index in range(len(probes))
-            ]
-        else:
-            results = []
-            for index, (depth, solver, key) in enumerate(probes):
-                if solver is None:
-                    results.append(replayed[index])
-                    continue
-                with obs.span("bmc.probe", depth=depth) as probe_span:
-                    result = solver.check()
-                    probe_span.set(verdict=result.verdict)
-                if journal is not None and result.is_unsat:
-                    journal.append("bmc.probe", key, verdict="unsat")
-                results.append(result)
-                if result.satisfiable:
-                    break
-        _engine_metrics("bmc", results)
-        failures: list[tuple[int, FailureReason]] = []
-        for (depth, _, _), result in zip(probes, results):
-            _accumulate(statistics, result.statistics)
-            if result.satisfiable:
-                trace = unroller.trace_from(result, depth, aborted=True)
-                sp.set(holds=False, violation_depth=depth)
-                return BoundedResult(False, k, trace, depth, statistics)
-            if result.unknown:
-                failures.append((depth, result.failure))
-        if failures:
-            sp.set(holds=False, unknown=True)
-            return BoundedResult(
-                False, k, statistics=statistics, unknown=True,
-                verified_depth=min(depth for depth, _ in failures) - 1,
-                failures=tuple(failures),
-            )
-        sp.set(holds=True)
-        return BoundedResult(True, k, statistics=statistics)
+                yield Probe(
+                    depth, f"abort{index}", key, partial(abort_at, depth, abort)
+                )
+                index += 1
+
+    return run_probes(
+        unroller, "error-trace", k, "bmc.probe", probes(), journal, jobs,
+        aborted=True,
+    )
 
 
 def make_unroller(program: Program, budget: Budget | None = None) -> _Unroller:
     """Expose the incremental unroller for callers issuing repeated checks."""
     return _Unroller(program, budget)
-
-
-#: per-engine query/unknown metrics (no-op when metrics are off)
-_engine_metrics = obs.count_engine_queries
 
 
 def _accumulate(into: dict[str, int], new: dict[str, int]) -> None:

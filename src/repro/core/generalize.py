@@ -28,6 +28,7 @@ bogus ways; callers should build upper bounds from
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -35,21 +36,26 @@ from ..logic import syntax as s
 from ..logic.partial import Fact, PartialStructure, conjecture
 from ..logic.sorts import FuncDecl, RelDecl
 from ..rml.ast import Program
-from ..solver.dispatch import query_of, resolve_jobs, solve_queries
 from ..solver.epr import EprResult, EprSolver, PreparedEpr
-from .bounded import _Unroller, make_unroller
+from .bounded import Probe, _Unroller, _accumulate, make_unroller, run_probes
 from .trace import Trace
 
 
 @dataclass(frozen=True)
 class ReachabilityResult:
-    """Outcome of the BMC test on a generalization."""
+    """Outcome of the BMC test on a generalization.
+
+    ``unknown`` is True when some depth exhausted its budget and no depth
+    was reachable: the structure is then neither shown reachable nor
+    unreachable, and ``unreachable`` is False.
+    """
 
     unreachable: bool
     bound: int
     trace: Trace | None = None  # a reachable extension of the structure
     depth: int | None = None
     statistics: dict[str, int] = field(default_factory=dict)
+    unknown: bool = False
 
     def __bool__(self) -> bool:
         return self.unreachable
@@ -135,12 +141,14 @@ def check_unreachable(
     """Is ``phi(partial)`` k-invariant?  (Eq. 3 applied to the conjecture.)
 
     Equivalently: is every state containing ``partial`` as a
-    sub-configuration unreachable within ``k`` loop iterations?  The
-    per-depth queries are independent; ``jobs > 1`` fans them across
-    worker processes and reports the shallowest reachable depth.
+    sub-configuration unreachable within ``k`` loop iterations?  One
+    probe per depth through :func:`repro.core.bounded.run_probes`:
+    serially the first reachable depth ends the check, with ``jobs > 1``
+    the depths are one pool batch; the shallowest reachable depth is
+    reported, and a depth that exhausts its budget makes the result
+    ``unknown`` unless some depth is reachable.
     """
     unroller = unroller or make_unroller(program)
-    statistics: dict[str, int] = {}
 
     def loaded_solver(depth: int) -> EprSolver:
         solver = unroller.solver_at(depth)
@@ -152,26 +160,15 @@ def check_unreachable(
             solver.add(formula, name=f"fact{index}")
         return solver
 
-    if resolve_jobs(jobs) > 1 and k > 0:
-        queries = [
-            query_of(loaded_solver(depth), name=f"diag{depth}")
-            for depth in range(k + 1)
-        ]
-        batches = solve_queries(queries, jobs=jobs)
-        for depth, (result,) in enumerate(batches):
-            _accumulate(statistics, result.statistics)
-            if result.satisfiable:
-                trace = unroller.trace_from(result, depth, aborted=False)
-                return ReachabilityResult(False, k, trace, depth, statistics)
-        return ReachabilityResult(True, k, statistics=statistics)
-
-    for depth in range(k + 1):
-        result = loaded_solver(depth).check()
-        _accumulate(statistics, result.statistics)
-        if result.satisfiable:
-            trace = unroller.trace_from(result, depth, aborted=False)
-            return ReachabilityResult(False, k, trace, depth, statistics)
-    return ReachabilityResult(True, k, statistics=statistics)
+    probes = [
+        Probe(depth, f"diag{depth}", "", functools.partial(loaded_solver, depth))
+        for depth in range(k + 1)
+    ]
+    result = run_probes(unroller, "reachability", k, "bmc.reach", probes, jobs=jobs)
+    return ReachabilityResult(
+        result.holds, k, result.trace, result.depth, result.statistics,
+        result.unknown,
+    )
 
 
 def auto_generalize(
@@ -267,8 +264,3 @@ def auto_generalize(
         dropped=dropped,
         statistics=statistics,
     )
-
-
-def _accumulate(into: dict[str, int], new: dict[str, int]) -> None:
-    for key, value in new.items():
-        into[key] = into.get(key, 0) + value

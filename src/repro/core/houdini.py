@@ -86,60 +86,38 @@ def _batched_failures(
 ) -> tuple[set[str], set[str]]:
     """Candidates whose ``premises => wp(command, c)`` fails or is unknown.
 
-    Returns ``(failing, unknown)`` name sets.  One grounded solver;
-    candidate ``c``'s negated obligation is a tracked constraint solved in
-    isolation under its selector.  With ``jobs > 1`` the candidate pool is
-    split into per-worker chunks, each chunk sharing one grounding in its
-    worker process.  A whole-chunk grounding blowup marks every candidate
-    in the chunk unknown.
+    Returns ``(failing, unknown)`` name sets.  The candidate pool is
+    split into one chunk per worker (one chunk serially); each chunk is
+    one query whose candidates share one grounding, candidate ``c``'s
+    negated obligation solved in isolation under its selector.  The
+    chunks go through :func:`~repro.solver.dispatch.solve_queries` as
+    one batch.  A whole-chunk grounding blowup marks every candidate in
+    the chunk unknown.
     """
     failing: set[str] = set()
     unknown: set[str] = set()
     workers = resolve_jobs(jobs)
-    if workers > 1 and len(candidates) > 1:
-        chunks = [list(candidates[index::workers]) for index in range(workers)]
-        chunks = [chunk for chunk in chunks if chunk]
-        queries = [
-            query_of(
-                _candidate_solver(program, chunk, command, premises, budget),
-                solve_sets=[frozenset({c.name}) for c in chunk],
-                name=f"houdini-chunk{index}",
-            )
-            for index, chunk in enumerate(chunks)
-        ]
-        with obs.span("houdini.dispatch", chunks=len(queries)):
-            batches = solve_queries(queries, jobs=jobs)
-        for chunk, batch in zip(chunks, batches):
-            for candidate, result in zip(chunk, batch):
-                _accumulate(statistics, result.statistics)
-                if result.unknown:
-                    unknown.add(candidate.name)
-                elif result.satisfiable:
-                    failing.add(candidate.name)
-        obs.count_engine_queries(
-            "houdini", [result for batch in batches for result in batch]
+    chunks = [list(candidates[index::workers]) for index in range(workers)]
+    chunks = [chunk for chunk in chunks if chunk]
+    queries = [
+        query_of(
+            _candidate_solver(program, chunk, command, premises, budget),
+            solve_sets=[frozenset({c.name}) for c in chunk],
+            name=f"houdini-chunk{index}",
         )
-        return failing, unknown
-    solver = _candidate_solver(program, candidates, command, premises, budget)
-    try:
-        prepared = solver.prepare()
-    except Exception as error:  # grounding blowup / budget exhausted
-        from ..solver.budget import BudgetExceeded
-        from ..solver.grounding import GroundingExplosion
-
-        if not isinstance(error, (BudgetExceeded, GroundingExplosion)):
-            raise
-        return failing, {candidate.name for candidate in candidates}
-    results = []
-    for candidate in candidates:
-        result = prepared.solve({candidate.name})
-        results.append(result)
-        _accumulate(statistics, result.statistics)
-        if result.unknown:
-            unknown.add(candidate.name)
-        elif result.satisfiable:
-            failing.add(candidate.name)
-    obs.count_engine_queries("houdini", results)
+        for index, chunk in enumerate(chunks)
+    ]
+    batches = solve_queries(queries, jobs=jobs)
+    for chunk, batch in zip(chunks, batches):
+        for candidate, result in zip(chunk, batch):
+            _accumulate(statistics, result.statistics)
+            if result.unknown:
+                unknown.add(candidate.name)
+            elif result.satisfiable:
+                failing.add(candidate.name)
+    obs.count_engine_queries(
+        "houdini", [result for batch in batches for result in batch]
+    )
     return failing, unknown
 
 
@@ -198,6 +176,25 @@ def houdini(
     journal_key = (
         pool_fingerprint(program, candidates) if journal is not None else ""
     )
+
+    def phase(kind, key, pool, command, premises, span, **attrs):
+        """One drop-set phase, replayed from the journal or solved (and
+        then journaled) under a ``span`` span."""
+        replayed = journal.replay(kind, key) if journal is not None else None
+        if replayed is not None:
+            _accumulate(statistics, {"journal_hits": len(pool)})
+            return set(replayed["failing"]), set(replayed["unknown"])
+        with obs.span(span, **attrs) as phase_span:
+            failing, unknown = _batched_failures(
+                program, pool, command, premises, statistics, jobs, budget
+            )
+            phase_span.set(failing=len(failing), unknown=len(unknown))
+        if journal is not None:
+            journal.append(
+                kind, key, failing=sorted(failing), unknown=sorted(unknown)
+            )
+        return failing, unknown
+
     with profile.engine("houdini"), obs.span("houdini", candidates=len(candidates)) as sp:
         if ledger is not None and ledger_proven(program, candidates, ledger):
             sp.set(rounds=0, invariant=len(candidates), ledger_skip=True)
@@ -205,30 +202,10 @@ def houdini(
             return HoudiniResult(
                 tuple(candidates), (), (), 0, statistics, ()
             )
-        replayed = (
-            journal.replay("houdini.init", journal_key)
-            if journal is not None
-            else None
+        failing_init, unknown_init = phase(
+            "houdini.init", journal_key, candidates, program.init, s.TRUE,
+            "houdini.initiation", candidates=len(candidates),
         )
-        if replayed is not None:
-            failing_init = set(replayed["failing"])
-            unknown_init = set(replayed["unknown"])
-            statistics["journal_hits"] = (
-                statistics.get("journal_hits", 0) + len(candidates)
-            )
-        else:
-            with obs.span("houdini.initiation", candidates=len(candidates)):
-                failing_init, unknown_init = _batched_failures(
-                    program, candidates, program.init, s.TRUE, statistics,
-                    jobs, budget,
-                )
-            if journal is not None:
-                journal.append(
-                    "houdini.init",
-                    journal_key,
-                    failing=sorted(failing_init),
-                    unknown=sorted(unknown_init),
-                )
         dropped_unknown: list[str] = sorted(unknown_init)
         surviving = [
             c for c in candidates
@@ -240,34 +217,11 @@ def houdini(
             rounds += 1
             if rounds > max_rounds:
                 raise RuntimeError("houdini failed to converge")
-            replayed = (
-                journal.replay("houdini.round", f"{journal_key}:{rounds}")
-                if journal is not None
-                else None
+            failing, unknown = phase(
+                "houdini.round", f"{journal_key}:{rounds}", surviving,
+                program.body, s.and_(*(c.formula for c in surviving)),
+                "houdini.round", round=rounds, surviving=len(surviving),
             )
-            if replayed is not None:
-                failing = set(replayed["failing"])
-                unknown = set(replayed["unknown"])
-                statistics["journal_hits"] = (
-                    statistics.get("journal_hits", 0) + len(surviving)
-                )
-            else:
-                invariant = s.and_(*(c.formula for c in surviving))
-                with obs.span(
-                    "houdini.round", round=rounds, surviving=len(surviving)
-                ) as round_span:
-                    failing, unknown = _batched_failures(
-                        program, surviving, program.body, invariant,
-                        statistics, jobs, budget,
-                    )
-                    round_span.set(failing=len(failing), unknown=len(unknown))
-                if journal is not None:
-                    journal.append(
-                        "houdini.round",
-                        f"{journal_key}:{rounds}",
-                        failing=sorted(failing),
-                        unknown=sorted(unknown),
-                    )
             if not failing and not unknown:
                 break
             dropped_consec.extend(sorted(failing))

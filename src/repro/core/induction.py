@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, Literal, Mapping, NamedTuple, Sequence
 
 from .. import obs
@@ -36,7 +37,7 @@ from ..rml.ast import Program
 from ..rml.interp import execute
 from ..rml.wp import wp
 from ..solver.budget import Budget
-from ..solver.dispatch import query_of, resolve_jobs, solve_queries
+from ..solver.dispatch import answers
 from ..solver.epr import EprResult, EprSolver
 
 ObligationKind = Literal["initiation", "safety", "consecution"]
@@ -151,39 +152,74 @@ def obligations(
     the default consults ``REPRO_SLICE`` -- ``repro analyze`` passes True
     so its slice preview reflects the analysis even under ``--no-slice``.
     """
+    make = _maker(program, sliced)
     axioms = program.axiom_formula
-    invariant = s.and_(*(c.formula for c in conjectures))
-    assumed: tuple[s.Formula, ...] = tuple(c.formula for c in lemmas)
-    axiom_pool = [(f"axiom {a.name}", a.formula) for a in program.axioms]
-    premise_pool = (
-        axiom_pool
+    pool, premises = _premises(program, conjectures, lemmas)
+    axiom_pool = pool[: len(program.axioms)]  # initiation assumes no lemma
+    out = [
+        make("initiation", f"initiation of {c.name}", "init", c.name, c.formula,
+             axiom_pool, s.not_(wp(program.init, c.formula, axioms)), axioms)
+        for c in conjectures
+    ]
+    if include_no_abort:
+        out.extend(no_abort_obligations(program, conjectures, lemmas, sliced))
+    out.extend(
+        make("consecution", f"consecution of {c.name}", "body", c.name, c.formula,
+             pool, s.not_(wp(program.body, c.formula, axioms)), *premises)
+        for c in conjectures
+    )
+    return out
+
+
+def no_abort_obligations(
+    program: Program,
+    conjectures: Sequence[Conjecture],
+    lemmas: Sequence[Conjecture] = (),
+    sliced: bool | None = None,
+) -> list[Obligation]:
+    """The safety obligations of :func:`obligations`: no abort via the
+    final command or the body from an invariant state (none for a command
+    that cannot abort)."""
+    make = _maker(program, sliced)
+    pool, premises = _premises(program, conjectures, lemmas)
+    out = []
+    for label, command in (("final", program.final), ("body", program.body)):
+        no_abort = wp(command, s.TRUE, program.axiom_formula)
+        if no_abort != s.TRUE:
+            out.append(make("safety", f"no abort via {label}", label, None,
+                            s.TRUE, pool, s.not_(no_abort), *premises))
+    return out
+
+
+def _premises(
+    program: Program,
+    conjectures: Sequence[Conjecture],
+    lemmas: Sequence[Conjecture],
+) -> tuple[list[tuple[str, s.Formula]], tuple[s.Formula, ...]]:
+    """The labelled hypothesis pool (axioms, lemmas, conjectures) and the
+    premises of safety and consecution: the axioms, each lemma, and the
+    conjoined invariant."""
+    pool = (
+        [(f"axiom {a.name}", a.formula) for a in program.axioms]
         + [(f"lemma {c.name}", c.formula) for c in lemmas]
         + [(f"conjecture {c.name}", c.formula) for c in conjectures]
     )
+    invariant = s.and_(*(c.formula for c in conjectures))
+    return pool, (program.axiom_formula, *(c.formula for c in lemmas), invariant)
+
+
+def _maker(program: Program, sliced: bool | None):
+    """An obligation constructor over ``program`` that slices each VC
+    when ``sliced`` (default: ``REPRO_SLICE``)."""
     if sliced is None:
         sliced = deps.slicing_enabled()
-    out: list[Obligation] = []
 
-    def add(kind, description, label, target, post, pool, goal, *premises):
+    def make(kind, description, label, target, post, pool, goal, *premises):
         vc = s.and_(*premises, goal)
         fields = _slice_fields(program, pool, goal, vc) if sliced else {}
-        out.append(Obligation(kind, description, label, target, post, vc, **fields))
+        return Obligation(kind, description, label, target, post, vc, **fields)
 
-    for c in conjectures:
-        goal = s.not_(wp(program.init, c.formula, axioms))
-        add("initiation", f"initiation of {c.name}", "init", c.name, c.formula,
-            axiom_pool, goal, axioms)
-    if include_no_abort:
-        for label, command in (("final", program.final), ("body", program.body)):
-            no_abort = wp(command, s.TRUE, axioms)
-            if no_abort != s.TRUE:
-                add("safety", f"no abort via {label}", label, None, s.TRUE,
-                    premise_pool, s.not_(no_abort), axioms, *assumed, invariant)
-    for c in conjectures:
-        goal = s.not_(wp(program.body, c.formula, axioms))
-        add("consecution", f"consecution of {c.name}", "body", c.name, c.formula,
-            premise_pool, goal, axioms, *assumed, invariant)
-    return out
+    return make
 
 
 def _slice_fields(
@@ -239,7 +275,7 @@ def check_obligation(
     query, so SAT models -- and therefore CTIs -- are identical to
     ``--no-slice`` runs.
     """
-    return _answer(program, obligation, budget).result
+    return next(_answers(program, [obligation], 1, budget)).result
 
 
 def _solver(
@@ -261,62 +297,42 @@ class _Answer(NamedTuple):
     fallback: bool  # the full-VC retry of a sliced SAT/UNKNOWN answer ran
 
 
-def _answer(
-    program: Program,
-    obligation: Obligation,
-    budget: Budget | None,
-    first: EprResult | None = None,
-    share_ms: float = 0.0,
-) -> _Answer:
-    """Settle one obligation from its first query's answer.
-
-    ``first`` is solved here when the caller has not already solved it
-    (in the worker pool); ``share_ms`` is this obligation's share of such
-    a batch.  A sliced SAT or UNKNOWN answer proves nothing, so the full
-    VC is then solved in-process.
-    """
-    started = time.monotonic()
-    sliced = obligation.sliced_vc is not None
-    if first is None:
-        first = _solver(program, obligation, budget, sliced).check()
-    result, fallback = first, False
-    if sliced and not first.is_unsat:
-        obs.inc("slice_fallback_total")
-        result, fallback = _solver(program, obligation, budget, False).check(), True
-    return _Answer(result, share_ms + (time.monotonic() - started) * 1000, fallback)
-
-
 def _answers(
     program: Program,
     obligations: Sequence[Obligation],
     jobs: int | None,
     budget: Budget | None,
 ) -> Iterator[_Answer]:
-    """One answer per obligation, in order.
+    """One answer per obligation, in order, from one dispatch stream.
 
-    Serially each obligation is solved only when the consumer asks for
-    its answer, so a consumer that stops at the first CTI solves nothing
-    after it.  With ``jobs > 1`` every first query goes to the worker
-    pool as one batch before this returns.
+    Each obligation's first query is its cone-of-influence slice (its
+    full VC when there is no slice), taken from
+    :func:`~repro.solver.dispatch.answers`: serially solved only when the
+    consumer asks, so a consumer that stops at the first CTI solves
+    nothing after it; with ``jobs > 1`` one pool batch, whose wall time
+    is shared evenly among the obligations.  A sliced SAT or UNKNOWN
+    answer proves nothing, so the full VC is then solved in-process.
     """
-    firsts: list[EprResult | None] = [None] * len(obligations)
-    share_ms = 0.0
-    if resolve_jobs(jobs) > 1 and len(obligations) > 1:
-        queries = [
-            query_of(
-                _solver(program, o, budget, o.sliced_vc is not None),
-                name=o.description,
-            )
-            for o in obligations
-        ]
+    started = time.monotonic()
+    named = [
+        (o.description, partial(_solver, program, o, budget, o.sliced_vc is not None))
+        for o in obligations
+    ]
+    firsts = answers(named, jobs)
+    share_ms = (time.monotonic() - started) * 1000 / max(len(obligations), 1)
+
+    def settle(obligation: Obligation) -> _Answer:
         started = time.monotonic()
-        with obs.span("induction.dispatch", queries=len(queries)):
-            firsts = [result for (result,) in solve_queries(queries, jobs=jobs)]
-        share_ms = (time.monotonic() - started) * 1000 / len(queries)
-    return (
-        _answer(program, obligation, budget, first, share_ms)
-        for obligation, first in zip(obligations, firsts)
-    )
+        result, fallback = next(firsts), False
+        if obligation.sliced_vc is not None and not result.is_unsat:
+            obs.inc("slice_fallback_total")
+            result = _solver(program, obligation, budget, False).check()
+            fallback = True
+        return _Answer(
+            result, share_ms + (time.monotonic() - started) * 1000, fallback
+        )
+
+    return (settle(obligation) for obligation in obligations)
 
 
 # ------------------------------------------------------------------ discharge
@@ -509,7 +525,7 @@ def discharge(
     representatives: dict[object, Pending] = {}
     for ident, item in zip(ids, todo):
         representatives.setdefault(ident, item)
-    answers = _answers(
+    stream = _answers(
         program, [item.obligation for item in representatives.values()],
         jobs, budget,
     )
@@ -519,7 +535,7 @@ def discharge(
         representative = ident not in answered
         with obs.span("induction.obligation", description=description) as sp:
             if representative:
-                answered[ident] = next(answers)
+                answered[ident] = next(stream)
                 run.add(answered[ident].result.statistics)
             result, wall_ms, fallback = answered[ident]
             source = "cache" if result.cached else "fresh"

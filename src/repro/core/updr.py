@@ -43,7 +43,7 @@ from ..rml.ast import Program, havocked_symbols
 from ..rml.encode import TransitionEncoder, project_state
 from ..rml.wp import wp, wp_body_safe, wp_final_safe
 from ..solver.budget import Budget, FailureReason
-from ..solver.dispatch import query_of, resolve_jobs, solve_queries
+from ..solver.dispatch import answers
 from ..solver.epr import EprSolver
 from .bounded import make_unroller
 from .generalize import _diagram_parts
@@ -441,39 +441,25 @@ class _Updr:
                     return invariant
         return None
 
-    def _pushable(self, partial: PartialStructure, index: int) -> bool:
-        """UNKNOWN means non-pushable: pushing a clause whose consecution
-        was not conclusively proved would make later frames unsound."""
-        try:
-            return self._predecessor(partial, index + 1) is None
-        except _BudgetExhausted:
-            return False
-
     def _pushable_batch(
         self, partials: Sequence[PartialStructure], index: int
     ) -> list[bool]:
-        if resolve_jobs(self.jobs) <= 1 or len(partials) <= 1:
-            with obs.span("updr.push", frame=index, candidates=len(partials)):
-                return [self._pushable(partial, index) for partial in partials]
-        queries = [
-            query_of(
-                self._predecessor_query(partial, index + 1)[0],
-                name=f"push{index}.{position}",
+        """Which of ``partials`` have no F_index predecessor, from one
+        dispatch answer stream.  UNKNOWN means non-pushable: pushing a
+        clause whose consecution was not conclusively proved would make
+        later frames unsound."""
+        named = [
+            (
+                f"push{index}.{position}",
+                lambda partial=partial: self._predecessor_query(partial, index + 1)[0],
             )
             for position, partial in enumerate(partials)
         ]
         with obs.span("updr.push", frame=index, candidates=len(partials)):
-            batches = solve_queries(queries, jobs=self.jobs)
-        for (result,) in batches:
-            self.statistics["solver_calls"] += 1
-            for key, value in result.statistics.items():
-                if key in ("instances", "conflicts"):
-                    self.statistics[key] = self.statistics.get(key, 0) + value
-        obs.count_engine_queries("updr", [result for (result,) in batches])
-        return [
-            not result.satisfiable and not result.unknown
-            for (result,) in batches
-        ]
+            results = list(answers(named, self.jobs))
+        for result in results:
+            self._count(result)
+        return [result.is_unsat for result in results]
 
     def _harvest(self, index: int) -> UpdrResult | None:
         conjectures = [

@@ -35,6 +35,7 @@ from ..core.induction import (
     ObligationOutcome,
     Pending,
     discharge,
+    no_abort_obligations,
     obligation_keys,
     obligations,
 )
@@ -164,13 +165,16 @@ def _abort_free(program: Program) -> Program:
     return dataclasses.replace(program, body=without_aborts(program.body))
 
 
+def _lemmas(plan: ProofPlan, node: ProofNode) -> tuple[Conjecture, ...]:
+    """The node's ``with``-lemmas that the plan establishes."""
+    invariants = plan.invariants
+    return tuple(invariants[name] for name in node.lemmas if name in invariants)
+
+
 def _node_items(plan: ProofPlan, node: ProofNode) -> list[Pending]:
     """A node's obligations, over the abort-free program (its CTIs replay
     there too), assuming the node's ``with``-lemmas."""
-    invariants = plan.invariants
-    lemmas = tuple(
-        invariants[name] for name in node.lemmas if name in invariants
-    )
+    lemmas = _lemmas(plan, node)
     witness = _abort_free(plan.program)
     return [
         Pending(obligation, node.conjectures, lemmas, witness, node.name)
@@ -185,8 +189,7 @@ def _safety_items(plan: ProofPlan) -> list[Pending]:
     everything = tuple(plan.invariants.values())
     return [
         Pending(obligation, everything, node=NO_ABORT)
-        for obligation in obligations(plan.program, everything)
-        if obligation.kind == "safety"
+        for obligation in no_abort_obligations(plan.program, everything)
     ]
 
 
@@ -295,7 +298,8 @@ def status(plan: ProofPlan, ledger: Ledger) -> tuple[InvariantStatus, ...]:
         if entry.program == program.name and entry.program_hash != program_hash:
             historical[entry.invariant] = True
 
-    def resolve(name: str, node_name: str, items: list[Pending]) -> InvariantStatus:
+    def resolve(name, node_name, owed, conjectures, lemmas=()) -> InvariantStatus:
+        items = [Pending(obligation, conjectures, lemmas) for obligation in owed]
         found: list[LedgerEntry] = []
         for keys in obligation_keys(program, items):
             entry = ledger.proven(keys[0])
@@ -305,12 +309,20 @@ def status(plan: ProofPlan, ledger: Ledger) -> tuple[InvariantStatus, ...]:
             found.append(entry)
         return InvariantStatus(name, node_name, "proven", tuple(found))
 
+    # Keys hash kind, command label, post and premises: no slice needed.
     for node in plan.nodes:
-        items = _node_items(plan, node)
+        lemmas = _lemmas(plan, node)
+        owed = obligations(
+            program, node.conjectures, lemmas, include_no_abort=False,
+            sliced=False,
+        )
         for conjecture in node.conjectures:
-            mine = [i for i in items if i.obligation.target == conjecture.name]
-            rows.append(resolve(conjecture.name, node.name, mine))
-    safeties = _safety_items(plan)
+            mine = [o for o in owed if o.target == conjecture.name]
+            rows.append(resolve(
+                conjecture.name, node.name, mine, node.conjectures, lemmas
+            ))
+    everything = tuple(plan.invariants.values())
+    safeties = no_abort_obligations(program, everything, sliced=False)
     if safeties:
-        rows.append(resolve(NO_ABORT, NO_ABORT, safeties))
+        rows.append(resolve(NO_ABORT, NO_ABORT, safeties, everything))
     return tuple(rows)

@@ -6,6 +6,11 @@ independent.  This module fans such batches across a **persistent pool of
 worker processes** and keeps the batch alive when individual workers
 misbehave.
 
+Engines hold no serial/parallel fork of their own: they ask their
+independent questions through one answer stream, :func:`answers`, which
+checks solvers lazily in order when serial and sends them to the pool as
+one :func:`solve_queries` batch when ``jobs > 1``.
+
 A :class:`Query` is a self-contained description of one
 :class:`~repro.solver.epr.EprSolver` instance -- vocabulary, constraints,
 solver options, resource :class:`~repro.solver.budget.Budget` -- plus the
@@ -76,7 +81,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .. import obs
 from ..obs import profile
@@ -530,7 +535,8 @@ def solve_queries(
     ``REPRO_RETRIES``, else 2) with exponentially escalated budgets; a
     query still unanswered after that is finished in-process
     (``fallback=True``, the default) or reported as UNKNOWN with the
-    failure that killed its last attempt.
+    failure that killed its last attempt.  A pool batch runs under one
+    ``dispatch.batch`` span.
     """
     jobs = resolve_jobs(jobs)
     workers = min(jobs, len(queries))
@@ -541,9 +547,29 @@ def solve_queries(
             with obs.span("query", name=query.name):
                 batches.append(_run_query(query))
         return batches
-    return _solve_parallel(
-        list(queries), workers, context, resolve_retries(retries), fallback
-    )
+    with obs.span("dispatch.batch", queries=len(queries)):
+        return _solve_parallel(
+            list(queries), workers, context, resolve_retries(retries), fallback
+        )
+
+
+def answers(
+    named_solvers: Sequence[tuple[str, Callable[[], EprSolver]]],
+    jobs: int | None = None,
+) -> Iterator[EprResult]:
+    """One answer per ``(name, build)`` pair, in order.
+
+    ``build`` returns the loaded solver of one independent query.
+    Serially, each solver is built and checked only when the consumer
+    asks for its answer, so a consumer that stops at the first SAT builds
+    nothing after it.  With ``jobs > 1`` and more than one pair, every
+    solver is built and sent, under its ``name``, to the pool as one
+    :func:`solve_queries` batch before this returns.
+    """
+    if resolve_jobs(jobs) > 1 and len(named_solvers) > 1:
+        queries = [query_of(build(), name=name) for name, build in named_solvers]
+        return iter([result for (result,) in solve_queries(queries, jobs=jobs)])
+    return (build().check() for _, build in named_solvers)
 
 
 def _solve_parallel(

@@ -77,6 +77,25 @@ class TestCheckUnreachable:
         assert not result.unreachable
         assert result.depth == 0
 
+    def test_exhausted_budget_is_unknown_not_unreachable(self, leader_bundle):
+        """A depth that exhausts its budget answers nothing: the same
+        reachable diagram is reported unknown, never unreachable."""
+        from repro.logic.partial import PartialStructure
+        from repro.solver import install_cache
+        from repro.solver.budget import Budget
+
+        program = leader_bundle.program
+        empty = PartialStructure(program.vocab, {}, {}, {})
+        old = install_cache(None)
+        try:
+            starved = make_unroller(program, Budget(instances=1))
+            result = check_unreachable(program, empty, 1, starved)
+        finally:
+            install_cache(old)
+        assert result.unknown
+        assert not result.unreachable and not result
+        assert result.depth is None and result.trace is None
+
 
 @pytest.mark.slow
 class TestAutoGeneralize:

@@ -177,3 +177,81 @@ class TestProgressAndErrors:
     def test_untraced_run_stays_untraced(self, capsys):
         assert main(["check", "lock_server"]) == 0
         assert obs.active_tracer() is None
+
+
+def _bmc_queries(counters) -> int:
+    return counters.get("engine_queries_total{engine=bmc}", 0)
+
+
+class TestTracedBmc:
+    """Every BMC probe, depth and reachability query gets one span in
+    both modes, journal replays included, and the engine query count
+    covers solver answers only."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_probe_spans_name_their_source(
+        self, tmp_path, capsys, monkeypatch, jobs
+    ):
+        monkeypatch.setenv("REPRO_CACHE", "0")  # what --no-cache exports
+        argv = [
+            "bmc", "lock_server", "-k", "2", "-j", jobs,
+            "--run-dir", str(tmp_path / "rd"),
+        ]
+
+        def probes(extra, index):
+            trace = tmp_path / f"trace{index}.jsonl"
+            metrics = tmp_path / f"metrics{index}.json"
+            assert main(
+                argv + extra + ["--trace", str(trace), "--metrics", str(metrics)]
+            ) == 0
+            _, nodes, _ = obs.build_tree(obs.load_trace(str(trace)))
+            spans = [n.attrs for n in nodes.values() if n.name == "bmc.probe"]
+            return spans, _bmc_queries(json.loads(metrics.read_text())["counters"])
+
+        live, live_queries = probes([], 0)
+        resumed, resumed_queries = probes(["--resume"], 1)
+        assert live and len(live) == len(resumed) == live_queries
+        assert [span["verdict"] for span in live] == ["unsat"] * len(live)
+        assert {span["source"] for span in live} == {"fresh"}
+        assert [span["verdict"] for span in resumed] == ["unsat"] * len(live)
+        assert {span["source"] for span in resumed} == {"journal"}
+        assert resumed_queries == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_depth_and_reach_spans(self, tmp_path, metrics_registry, jobs):
+        import io
+
+        from repro.core.bounded import check_k_invariance
+        from repro.core.generalize import check_unreachable
+        from repro.logic.partial import PartialStructure
+        from repro.protocols import lock_server
+        from repro.recovery.journal import Journal
+
+        bundle = lock_server.build()
+        program, safety = bundle.program, bundle.safety[0].formula
+        install_cache(None)
+        sink = io.StringIO()
+        obs.install_tracer(obs.Tracer(sink=sink, run_id="bmc"))
+        try:
+            path = str(tmp_path / "journal.jsonl")
+            live = Journal.fresh(path)
+            check_k_invariance(program, safety, 2, jobs=jobs, journal=live)
+            live.close()
+            answered = _bmc_queries(metrics_registry.to_dict()["counters"])
+            resumed = Journal.resume(path)
+            check_k_invariance(program, safety, 2, jobs=jobs, journal=resumed)
+            resumed.close()
+            replayed = _bmc_queries(metrics_registry.to_dict()["counters"])
+            empty = PartialStructure(program.vocab, {}, {}, {})
+            check_unreachable(program, empty, 1, jobs=jobs)
+        finally:
+            obs.install_tracer(None)
+        events = [json.loads(line) for line in sink.getvalue().splitlines()]
+        _, nodes, _ = obs.build_tree(events)
+        depths = [n.attrs for n in nodes.values() if n.name == "bmc.depth"]
+        reach = [n.attrs for n in nodes.values() if n.name == "bmc.reach"]
+        assert [span["source"] for span in depths] == ["fresh"] * 3 + ["journal"] * 3
+        assert {span["verdict"] for span in depths} == {"unsat"}
+        assert answered == replayed == 3
+        # the empty diagram is reachable at depth 0: one probe, one answer
+        assert [(s["verdict"], s["source"]) for s in reach] == [("sat", "fresh")]

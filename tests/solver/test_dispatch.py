@@ -247,25 +247,179 @@ class TestDispatch:
         assert metrics_registry.counter("dispatched_total").value == 0
 
 
+def _serial_and_parallel(run):
+    """``run(jobs)`` at jobs=1 and jobs=2, the query cache off for both."""
+    install_cache(None)
+    return run(1), run(2)
+
+
+def _same_bounded(serial, parallel):
+    """Identical verdict, depth and trace; every trace replays."""
+    assert (serial.holds, serial.unknown, serial.depth) == (
+        parallel.holds, parallel.unknown, parallel.depth,
+    )
+    assert str(serial.trace) == str(parallel.trace)
+    for result in (serial, parallel):
+        if result.trace is not None:
+            result.trace.validate()
+
+
+def _lock_diagram(vocab, *atoms):
+    """A lock_server partial structure: ``("holds", "c1")`` asserts
+    ``holds(c1)``, ``("server_free",)`` the nullary fact."""
+    from repro.logic.partial import PartialStructure
+    from repro.logic.structures import Elem
+
+    client = vocab.sorts[0]
+    elems = {name: Elem(name, client) for atom in atoms for name in atom[1:]}
+    facts: dict = {}
+    for name, *args in atoms:
+        facts.setdefault(vocab.relation(name), {})[
+            tuple(elems[arg] for arg in args)
+        ] = True
+    universe = {client: tuple(elems[name] for name in sorted(elems))}
+    return PartialStructure(vocab, universe, facts, {})
+
+
 @pytest.mark.slow
 class TestParallelEntryPoints:
+    """Each engine answers the same at jobs=1 and jobs=2 (cache off)."""
+
+    @pytest.fixture(scope="class")
+    def lock_bundle(self):
+        from repro.protocols import lock_server
+
+        return lock_server.build()
+
     def test_check_k_invariance_parallel_matches_serial(self, leader_bundle):
         from repro.core.bounded import check_k_invariance
 
         program = leader_bundle.program
         safety = leader_bundle.safety[0].formula
-        install_cache(None)
-        serial = check_k_invariance(program, safety, 1, jobs=1)
-        parallel = check_k_invariance(program, safety, 1, jobs=2)
+        serial, parallel = _serial_and_parallel(
+            lambda jobs: check_k_invariance(program, safety, 1, jobs=jobs)
+        )
         assert serial.holds and parallel.holds
+
+    def test_violated_k_invariance_matches(self, lock_bundle):
+        from repro.core.bounded import check_k_invariance
+        from repro.logic import parse_formula
+
+        program = lock_bundle.program
+        no_holder = parse_formula("forall C:client. ~holds(C)", program.vocab)
+        serial, parallel = _serial_and_parallel(
+            lambda jobs: check_k_invariance(program, no_holder, 4, jobs=jobs)
+        )
+        _same_bounded(serial, parallel)
+        assert not serial.holds and serial.depth == 3
+
+    def test_figure4_error_trace_matches(self, leader_bundle):
+        from repro.core.bounded import find_error_trace
+
+        buggy = leader_bundle.program.without_axiom("unique_ids")
+        serial, parallel = _serial_and_parallel(
+            lambda jobs: find_error_trace(buggy, 4, jobs=jobs)
+        )
+        _same_bounded(serial, parallel)
+        assert not serial.holds and serial.depth == 4
+
+    def test_check_unreachable_matches(self, lock_bundle, leader_bundle):
+        from repro.core.generalize import check_unreachable
+        from repro.logic.partial import PartialStructure
+
+        lock = lock_bundle.program
+        cases = [
+            # held while the server is free: C7 excludes it at every depth
+            (lock, _lock_diagram(lock.vocab, ("holds", "c1"), ("server_free",)), 3),
+            # a holder: request, grant, receive -- reachable at depth 3
+            (lock, _lock_diagram(lock.vocab, ("holds", "c1")), 3),
+            # the empty diagram: every initial state contains it
+            (
+                leader_bundle.program,
+                PartialStructure(leader_bundle.program.vocab, {}, {}, {}),
+                1,
+            ),
+        ]
+        verdicts = []
+        for program, partial, k in cases:
+            serial, parallel = _serial_and_parallel(
+                lambda jobs: check_unreachable(program, partial, k, jobs=jobs)
+            )
+            assert (serial.unreachable, serial.unknown, serial.depth) == (
+                parallel.unreachable, parallel.unknown, parallel.depth,
+            )
+            assert str(serial.trace) == str(parallel.trace)
+            for result in (serial, parallel):
+                if result.trace is not None:
+                    result.trace.validate()
+            verdicts.append((serial.unreachable, serial.depth))
+        assert verdicts == [(True, None), (False, 3), (False, 0)]
 
     def test_check_inductive_parallel_matches_serial(self, leader_bundle):
         from repro.core.induction import check_inductive
 
         program = leader_bundle.program
         conjectures = list(leader_bundle.invariant)
-        install_cache(None)
-        serial = check_inductive(program, conjectures, jobs=1)
-        parallel = check_inductive(program, conjectures, jobs=2)
+        serial, parallel = _serial_and_parallel(
+            lambda jobs: check_inductive(program, conjectures, jobs=jobs)
+        )
         assert serial.holds == parallel.holds
 
+    def test_houdini_survivors_match(self, lock_bundle):
+        from repro.core.houdini import houdini
+        from repro.core.induction import Conjecture
+        from repro.logic import parse_formula
+
+        vocab = lock_bundle.program.vocab
+        pool = [
+            *lock_bundle.invariant,
+            Conjecture("junk", parse_formula("forall C:client. ~server_free", vocab)),
+            Conjecture("no_holder", parse_formula("forall C:client. ~holds(C)", vocab)),
+        ]
+        serial, parallel = _serial_and_parallel(
+            lambda jobs: houdini(lock_bundle.program, pool, jobs=jobs)
+        )
+        assert serial.invariant == parallel.invariant
+        assert serial.dropped_initiation == parallel.dropped_initiation
+        assert serial.dropped_consecution == parallel.dropped_consecution
+        assert {c.name for c in serial.invariant} == {
+            c.name for c in lock_bundle.invariant
+        }
+
+    def test_updr_pushability_matches(self, lock_bundle):
+        from repro.core.updr import _Updr
+
+        program = lock_bundle.program
+        vocab = program.vocab
+        # The nine invariant conjectures as blocked diagrams, plus one
+        # (server_free) that F_1 does not keep blocked across a step.
+        inductive = [
+            _lock_diagram(vocab, *atoms)
+            for atoms in (
+                (("holds", "c1"), ("holds", "c2")),
+                (("grant_msg", "c1"), ("grant_msg", "c2")),
+                (("unlock_msg", "c1"), ("unlock_msg", "c2")),
+                (("grant_msg", "c1"), ("holds", "c2")),
+                (("grant_msg", "c1"), ("holds", "c1")),
+                (("grant_msg", "c1"), ("unlock_msg", "c2")),
+                (("grant_msg", "c1"), ("unlock_msg", "c1")),
+                (("holds", "c1"), ("unlock_msg", "c2")),
+                (("holds", "c1"), ("unlock_msg", "c1")),
+                (("grant_msg", "c1"), ("server_free",)),
+                (("holds", "c1"), ("server_free",)),
+                (("unlock_msg", "c1"), ("server_free",)),
+            )
+        ]
+        frame = [*inductive, _lock_diagram(vocab, ("server_free",))]
+
+        def pushable(jobs):
+            engine = _Updr(program, 8, 200, jobs=jobs)
+            engine.frames = [[], list(frame), []]
+            return engine._pushable_batch(frame, 1), engine.statistics
+
+        (serial, serial_stats), (parallel, parallel_stats) = (
+            _serial_and_parallel(pushable)
+        )
+        assert serial == parallel
+        assert serial_stats == parallel_stats
+        assert serial == [True] * len(inductive) + [False]
