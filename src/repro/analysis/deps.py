@@ -29,9 +29,9 @@ sort and the closure treats any shared sort with such a conjunct as a
 connection, so those hypotheses are never sliced away from formulas that
 touch the sort.
 
-This module depends only on the logic and rml layers (and on
-:func:`repro.solver.budget.env_flag` to read ``REPRO_SLICE``); the
-engines import *it*, never the reverse.
+This module depends only on the logic and rml layers; the engines
+import *it*, never the reverse, and decide whether to slice (the run
+config's ``slice``, ``REPRO_SLICE`` or ``--no-slice``).
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from ..rml.ast import (
     assigned_symbols,
     subcommands,
 )
-from ..solver.budget import env_flag
 
 Decl = RelDecl | FuncDecl
 
@@ -62,11 +61,6 @@ Decl = RelDecl | FuncDecl
 POSITIVE = 1
 NEGATIVE = -1
 BOTH = 0
-
-
-def slicing_enabled() -> bool:
-    """Is cone-of-influence slicing on?  ``REPRO_SLICE`` gates it, default on."""
-    return env_flag("REPRO_SLICE", True)
 
 
 # ------------------------------------------------------------------ footprints

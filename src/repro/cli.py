@@ -34,17 +34,24 @@ Every solving subcommand accepts the observability flags ``--trace FILE``
 caching is controlled with ``--persist-cache`` / ``--cache-dir DIR``
 (disk-backed cache shared across runs; see :mod:`repro.solver.cache`) and
 ``--no-cache``.
+
+:func:`main` resolves the run's settings once into a frozen
+:class:`repro.config.RunConfig`: the ``REPRO_*`` environment variables,
+overridden by the flags given, with defaults for the rest.  The command
+runs inside :func:`repro.config.using`; a flag never writes the
+environment, so an in-process ``main`` call leaves nothing behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
 
-from . import obs
+from . import config, obs
 from .core.bounded import BoundedResult, find_error_trace
 from .core.induction import Conjecture, check_inductive
 from .core.policy import OraclePolicy
@@ -63,51 +70,37 @@ from .recovery import (
     write_meta,
 )
 from .recovery.journal import JOURNAL_NAME
-from .solver.budget import Budget, env_flag, resolve_budget
 
 #: Exit code for UNKNOWN outcomes (budget exhausted), distinct from
 #: 0 = verified and 1 = violation/not-inductive.
 EXIT_UNKNOWN = 2
 
 
-def _apply_cache_flags(args: argparse.Namespace) -> None:
-    """Translate cache flags into the env vars every layer reads.
+#: flags that, when given, replace the run config field of the same name
+_CONFIG_FLAGS = (
+    "jobs", "timeout", "conflict_budget", "memory_mb", "retries",
+    "cache_dir", "ledger_dir", "slice",
+)
 
-    The environment is the channel that reaches forked pool workers and
-    nested dispatch sites alike; flags override whatever was exported.
+
+def _config_of(args: argparse.Namespace) -> config.RunConfig:
+    """The run's config: the environment's, overridden by the flags given.
+
     ``--cache-dir`` implies persistence -- pointing at a store you do not
     want used would be a strange request.
     """
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir:
-        os.environ["REPRO_CACHE_DIR"] = cache_dir
-    if cache_dir or getattr(args, "persist_cache", False):
-        os.environ["REPRO_CACHE_PERSIST"] = "1"
+    changes = {
+        name: getattr(args, name)
+        for name in _CONFIG_FLAGS
+        if getattr(args, name, None) is not None
+    }
+    if getattr(args, "cache_dir", None) or getattr(args, "persist_cache", False):
+        changes["cache_persist"] = True
     if getattr(args, "no_cache", False):
-        os.environ["REPRO_CACHE"] = "0"
-
-
-def _apply_analysis_flags(args: argparse.Namespace) -> None:
-    """Translate the slicing flags into ``REPRO_SLICE``.
-
-    Same channel as the cache flags: the environment reaches forked pool
-    workers, nested dispatch sites, and the solver layer alike.
-    """
-    if getattr(args, "slice", None) is not None:
-        os.environ["REPRO_SLICE"] = "1" if args.slice else "0"
-
-
-def _budget_of(args: argparse.Namespace) -> Budget | None:
-    """Build the query budget from CLI flags (which override env vars)."""
-    if getattr(args, "retries", None) is not None:
-        # solve_queries reads retries through resolve_retries; the env var
-        # is the channel that reaches every dispatch site.
-        os.environ["REPRO_RETRIES"] = str(args.retries)
-    return resolve_budget(
-        wall_seconds=getattr(args, "timeout", None),
-        conflicts=getattr(args, "conflict_budget", None),
-        rss_mb=getattr(args, "memory_mb", None),
-    )
+        changes["cache"] = False
+    if getattr(args, "no_ledger", False):
+        changes["ledger"] = False
+    return dataclasses.replace(config.current(), **changes)
 
 
 def _open_journal(
@@ -117,12 +110,11 @@ def _open_journal(
 
     Returns ``(journal, run_dir)`` -- both None for subcommands without
     recovery options or when journaling is off.  Journaling turns on with
-    ``--run-dir``, ``--resume``, or ``REPRO_JOURNAL=1``; the run directory
-    defaults to the deterministic
-    :func:`~repro.recovery.resume.default_run_dir`, so a bare ``--resume``
-    lands on the directory the killed run wrote to.  The journal is
-    registered as the process-wide active journal (flushed by the signal
-    path) and closed by :func:`main`'s teardown.
+    ``--run-dir`` or ``--resume``; the run directory defaults to the
+    deterministic :func:`~repro.recovery.resume.default_run_dir`, so a bare
+    ``--resume`` lands on the directory the killed run wrote to.  The
+    journal is registered as the process-wide active journal (flushed by
+    the signal path) and closed by :func:`main`'s teardown.
     """
     if not hasattr(args, "resume"):
         return None, None
@@ -132,7 +124,7 @@ def _open_journal(
         or getattr(args, "file", None)
         or ""
     )
-    if not (args.run_dir or args.resume or env_flag("REPRO_JOURNAL", False)):
+    if not (args.run_dir or args.resume):
         return None, None
     run_dir = args.run_dir or default_run_dir(args.command, target)
     path = os.path.join(run_dir, JOURNAL_NAME)
@@ -256,11 +248,10 @@ def cmd_bmc(args: argparse.Namespace) -> int:
         program = program.without_axiom(args.drop_axiom)
     if not _preflight(args, program, bundle.safety, origin=args.protocol):
         return EXIT_UNKNOWN
-    budget = _budget_of(args)
+    budget = config.current().budget()
     start = time.time()
     result = find_error_trace(
-        program, args.bound, jobs=args.jobs, budget=budget,
-        journal=active_journal(),
+        program, args.bound, budget=budget, journal=active_journal()
     )
     elapsed = time.time() - start
     if result.holds:
@@ -283,11 +274,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         origin=args.protocol,
     ):
         return EXIT_UNKNOWN
-    budget = _budget_of(args)
+    budget = config.current().budget()
     start = time.time()
     result = check_inductive(
-        bundle.program, list(bundle.invariant), jobs=args.jobs,
-        budget=budget, journal=active_journal(),
+        bundle.program, list(bundle.invariant), budget=budget,
+        journal=active_journal(),
     )
     elapsed = time.time() - start
     inconclusive = result.unknown_obligations and result.cti is None
@@ -361,10 +352,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_UNKNOWN
     print(f"parsed {program.name!r}: {len(program.vocab.sorts)} sorts, "
           f"{len(program.vocab.relations)} relations")
-    budget = _budget_of(args)
+    budget = config.current().budget()
     result = find_error_trace(
-        program, args.bound, jobs=args.jobs, budget=budget,
-        journal=active_journal(),
+        program, args.bound, budget=budget, journal=active_journal()
     )
     if result.trace is not None:
         print(f"assertion violation at depth {result.depth}:")
@@ -376,8 +366,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"no assertion violation within {args.bound} iterations")
     if conjectures:
         check = check_inductive(
-            program, conjectures, jobs=args.jobs, budget=budget,
-            journal=active_journal(),
+            program, conjectures, budget=budget, journal=active_journal()
         )
         if check.unknown_obligations and check.cti is None:
             print(f"conjunction of {len(conjectures)} conjectures inductive: "
@@ -609,17 +598,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 1 if has_errors else 0
 
 
-def _ledger_of(args: argparse.Namespace):
-    """Build the ledger from CLI flags / environment (None when disabled)."""
-    from .proof.ledger import default_ledger
-
-    if getattr(args, "no_ledger", False):
-        os.environ["REPRO_LEDGER"] = "0"
-    if getattr(args, "ledger_dir", None):
-        os.environ["REPRO_LEDGER_DIR"] = args.ledger_dir
-    return default_ledger()
-
-
 def _target_plan(args: argparse.Namespace):
     """Resolve ``args.target`` into ``(plan, origin, source)``.
 
@@ -661,6 +639,7 @@ def _target_plan(args: argparse.Namespace):
 
 def cmd_prove(args: argparse.Namespace) -> int:
     """Discharge the target's proof DAG, honoring the proven-lemma ledger."""
+    from .proof.ledger import default_ledger
     from .proof.manager import prove
 
     resolved = _target_plan(args)
@@ -671,11 +650,10 @@ def cmd_prove(args: argparse.Namespace) -> int:
     if not _preflight(args, plan.program, conjectures, origin=origin,
                       source=source):
         return EXIT_UNKNOWN
-    ledger = _ledger_of(args)
-    budget = _budget_of(args)
+    ledger = default_ledger()
     start = time.time()
     report = prove(
-        plan, jobs=args.jobs, budget=budget, ledger=ledger,
+        plan, budget=config.current().budget(), ledger=ledger,
         journal=active_journal(),
     )
     elapsed = time.time() - start
@@ -729,16 +707,14 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 def cmd_status(args: argparse.Namespace) -> int:
     """Per-invariant proven/unproven/stale table from the ledger."""
-    from .proof.ledger import Ledger, ledger_dir
+    from .proof.ledger import Ledger
     from .proof.manager import status
 
     resolved = _target_plan(args)
     if resolved is None:
         return EXIT_UNKNOWN
     plan, origin, _source = resolved
-    ledger = _ledger_of(args)
-    if ledger is None:
-        ledger = Ledger(ledger_dir())  # status reads; REPRO_LEDGER=0 gates writes
+    ledger = Ledger(config.current().ledger_dir)  # --no-ledger gates writes
     rows = status(plan, ledger)
     if args.format == "json":
         payload = {
@@ -1122,8 +1098,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     raw_argv = list(argv) if argv is not None else sys.argv[1:]
-    _apply_cache_flags(args)
-    _apply_analysis_flags(args)
+    with config.using(_config_of(args)):
+        return _run(args, raw_argv)
+
+
+def _run(args: argparse.Namespace, raw_argv: list[str]) -> int:
+    """Run the parsed command under the installed run config."""
     teardown = _install_obs(args, raw_argv)
     restore_signals = install_handlers()
     journal, run_dir = _open_journal(args, raw_argv)

@@ -246,8 +246,9 @@ def check_k_invariance(
     violating ``phi`` after ``depth`` iterations.
 
     One probe per depth, answered by :func:`run_probes`: serially the
-    first violating depth ends the check; with ``jobs > 1`` (or
-    ``REPRO_JOBS`` set) the depths are one pool batch.  Either way the
+    first violating depth ends the check; with ``jobs > 1`` (the
+    argument, else the run config's ``jobs``) the depths are one pool
+    batch.  Either way the
     shallowest violation is reported.
 
     With a ``budget``, depths that exhaust it degrade to UNKNOWN instead

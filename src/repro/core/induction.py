@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator, Literal, Mapping, NamedTuple, Sequence
 
-from .. import obs
+from .. import config, obs
 from ..obs import profile
 from ..analysis import deps
 from ..logic import syntax as s
@@ -149,18 +149,14 @@ def obligations(
     as a premise.
 
     ``sliced`` forces cone-of-influence slicing on (True) or off (False);
-    the default consults ``REPRO_SLICE`` -- ``repro analyze`` passes True
-    so its slice preview reflects the analysis even under ``--no-slice``.
+    the default is the run config's ``slice`` -- ``repro analyze`` passes
+    True so its slice preview reflects the analysis even under
+    ``--no-slice``.
     """
     make = _maker(program, sliced)
     axioms = program.axiom_formula
     pool, premises = _premises(program, conjectures, lemmas)
-    axiom_pool = pool[: len(program.axioms)]  # initiation assumes no lemma
-    out = [
-        make("initiation", f"initiation of {c.name}", "init", c.name, c.formula,
-             axiom_pool, s.not_(wp(program.init, c.formula, axioms)), axioms)
-        for c in conjectures
-    ]
+    out = initiation_obligations(program, conjectures, sliced)
     if include_no_abort:
         out.extend(no_abort_obligations(program, conjectures, lemmas, sliced))
     out.extend(
@@ -169,6 +165,21 @@ def obligations(
         for c in conjectures
     )
     return out
+
+
+def initiation_obligations(
+    program: Program, conjectures: Sequence[Conjecture], sliced: bool | None = None
+) -> list[Obligation]:
+    """The initiation obligations of :func:`obligations`: each conjecture
+    holds after ``C_init`` from any axiom state (no lemma is assumed)."""
+    make = _maker(program, sliced)
+    axioms = program.axiom_formula
+    pool = [(f"axiom {a.name}", a.formula) for a in program.axioms]
+    return [
+        make("initiation", f"initiation of {c.name}", "init", c.name, c.formula,
+             pool, s.not_(wp(program.init, c.formula, axioms)), axioms)
+        for c in conjectures
+    ]
 
 
 def no_abort_obligations(
@@ -210,9 +221,9 @@ def _premises(
 
 def _maker(program: Program, sliced: bool | None):
     """An obligation constructor over ``program`` that slices each VC
-    when ``sliced`` (default: ``REPRO_SLICE``)."""
+    when ``sliced`` (default: the run config's ``slice``)."""
     if sliced is None:
-        sliced = deps.slicing_enabled()
+        sliced = config.current().slice
 
     def make(kind, description, label, target, post, pool, goal, *premises):
         vc = s.and_(*premises, goal)
@@ -675,6 +686,5 @@ def check_inductive(
 
 def check_initiation(program: Program, conjecture: Conjecture) -> EprResult:
     """Does the conjecture hold after ``C_init`` from any axiom state?"""
-    obligation = obligations(program, [conjecture], include_no_abort=False)[0]
-    assert obligation.kind == "initiation"
+    (obligation,) = initiation_obligations(program, [conjecture])
     return check_obligation(program, obligation)

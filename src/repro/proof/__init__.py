@@ -21,14 +21,11 @@ manager explicitly as ``repro.proof.manager``.
 
 from .dag import CycleError, ProofDag, ProofEdge, build_dag, cycle_diagnostics
 from .ledger import (
-    DEFAULT_LEDGER_DIR,
     LEDGER_FORMAT,
     Ledger,
     LedgerEntry,
     default_ledger,
     keys_of,
-    ledger_dir,
-    ledger_enabled,
     ledger_key,
     lemma_set_fingerprint,
     obligation_fingerprint,
@@ -41,14 +38,11 @@ __all__ = [
     "ProofEdge",
     "build_dag",
     "cycle_diagnostics",
-    "DEFAULT_LEDGER_DIR",
     "LEDGER_FORMAT",
     "Ledger",
     "LedgerEntry",
     "default_ledger",
     "keys_of",
-    "ledger_dir",
-    "ledger_enabled",
     "ledger_key",
     "lemma_set_fingerprint",
     "obligation_fingerprint",

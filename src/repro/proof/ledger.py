@@ -34,9 +34,10 @@ read as *unproven* and are deleted under the store lock, with a single
 ``repro.store`` logger warning per store -- a damaged ledger degrades to
 re-proving, never to a wrong answer or a crash.
 
-**Environment.** ``REPRO_LEDGER=0`` disables the ledger entirely;
-``REPRO_LEDGER_DIR`` overrides the store location (default
-``.repro-ledger/``).  Both are read at :func:`default_ledger` call time.
+**Configuration.** The run config's ``ledger`` (``REPRO_LEDGER=0`` or
+``--no-ledger`` turns it off) and ``ledger_dir`` (``REPRO_LEDGER_DIR`` or
+``--ledger-dir``, default ``.repro-ledger/``) are read at
+:func:`default_ledger` call time.
 """
 
 from __future__ import annotations
@@ -44,24 +45,19 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 import subprocess
 import time
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .. import obs
+from .. import config, obs
 from ..logic import syntax as s
 from ..logic.printer import canonical_str, fingerprint
-from ..solver.budget import env_flag
 from ..store import ShardedStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.induction import Obligation
     from ..rml.ast import Program
-
-#: default on-disk store location, relative to the working directory
-DEFAULT_LEDGER_DIR = ".repro-ledger"
 
 #: schema version; entries written under any other version read as unproven
 LEDGER_FORMAT = 1
@@ -260,24 +256,10 @@ class Ledger:
         return len(self._store)
 
 
-# ----------------------------------------------------------------- environment
-
-
-def ledger_enabled() -> bool:
-    """``REPRO_LEDGER`` not falsy (read at call time)."""
-    return env_flag("REPRO_LEDGER", True)
-
-
-def ledger_dir() -> str:
-    """``REPRO_LEDGER_DIR`` or the default ``.repro-ledger``."""
-    return os.environ.get("REPRO_LEDGER_DIR", "").strip() or DEFAULT_LEDGER_DIR
-
-
-def default_ledger(root: str | None = None) -> Ledger | None:
-    """A ledger per the environment, or None when disabled."""
-    if not ledger_enabled():
-        return None
-    return Ledger(root if root is not None else ledger_dir())
+def default_ledger() -> Ledger | None:
+    """The run config's ledger, or None when the config disables it."""
+    cfg = config.current()
+    return Ledger(cfg.ledger_dir) if cfg.ledger else None
 
 
 def keys_of(

@@ -32,7 +32,6 @@ from .resume import (
     RunMeta,
     default_run_dir,
     load_meta,
-    runs_root,
     write_meta,
 )
 from .signals import Interrupted, install_handlers
@@ -65,7 +64,6 @@ __all__ = [
     "default_run_dir",
     "install_handlers",
     "load_meta",
-    "runs_root",
     "set_active_journal",
     "write_meta",
 ]

@@ -20,22 +20,19 @@ decisions, CEGAR refinement, grounding) call :func:`beat` as they spin.
 
 The parent side (:mod:`repro.solver.dispatch`) drains the pipe inside its
 ``connection.wait`` loop and timestamps each drain; a busy worker whose
-last beat is older than :func:`heartbeat_timeout` seconds is declared
+last beat is older than the run config's ``heartbeat_timeout`` seconds
+(``REPRO_HEARTBEAT_TIMEOUT``, default 300; <= 0 disables) is declared
 wedged and killed *before* the external deadline, and its query is
 retried like any other worker loss.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from multiprocessing.connection import Connection
 
 #: minimum seconds between bytes actually written by :func:`beat`
 BEAT_INTERVAL = 0.25
-
-#: default seconds of beat silence after which a busy worker is wedged
-DEFAULT_TIMEOUT = 300.0
 
 _conn: Connection | None = None
 _last_sent = 0.0
@@ -77,23 +74,3 @@ def beat(force: bool = False) -> None:
         conn.send_bytes(b".")
     except (OSError, ValueError):
         disarm()  # parent gone; die quietly when it reaps us
-
-
-def heartbeat_timeout() -> float:
-    """``REPRO_HEARTBEAT_TIMEOUT`` seconds (default 300; <= 0 disables).
-
-    A malformed value warns (:func:`repro.solver.budget.warn_env`) and
-    gives the default.  It is read per pool batch, so it is then blanked
-    to warn once.
-    """
-    raw = os.environ.get("REPRO_HEARTBEAT_TIMEOUT", "").strip()
-    if not raw:
-        return DEFAULT_TIMEOUT
-    try:
-        return float(raw)
-    except ValueError:
-        from ..solver.budget import warn_env
-
-        warn_env("REPRO_HEARTBEAT_TIMEOUT", raw, "expected a number of seconds")
-        os.environ["REPRO_HEARTBEAT_TIMEOUT"] = ""
-        return DEFAULT_TIMEOUT

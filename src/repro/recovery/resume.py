@@ -3,8 +3,9 @@
 A *run directory* holds everything one verification run needs to be
 resumed after a crash: the write-ahead journal (:mod:`.journal`) and a
 ``meta.json`` recording the original command line.  Run directories live
-under ``.repro-runs/`` (override with ``REPRO_RUNS_DIR``) and are named
-deterministically from the command and target, so
+under the run config's ``runs_dir`` (``REPRO_RUNS_DIR``, default
+``.repro-runs/``) and are named deterministically from the command and
+target, so
 
     repro verify examples/lock_server.rml --resume
 
@@ -29,11 +30,10 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
+from .. import config
+
 #: exit code of a run interrupted resumably (BSD sysexits EX_TEMPFAIL)
 EXIT_RESUMABLE = 75
-
-#: default run-directory root, relative to the working directory
-DEFAULT_RUNS_DIR = ".repro-runs"
 
 #: meta.json schema version
 META_FORMAT = 1
@@ -52,11 +52,6 @@ class RunMeta:
     created_unix: float = 0.0
 
 
-def runs_root() -> str:
-    """``REPRO_RUNS_DIR`` or the default ``.repro-runs``."""
-    return os.environ.get("REPRO_RUNS_DIR", "").strip() or DEFAULT_RUNS_DIR
-
-
 def default_run_dir(command: str, target: str) -> str:
     """The deterministic run directory for ``(command, target)``.
 
@@ -68,7 +63,7 @@ def default_run_dir(command: str, target: str) -> str:
     base = os.path.splitext(os.path.basename(target))[0] or "run"
     slug = re.sub(r"[^A-Za-z0-9_.-]+", "-", base).strip("-") or "run"
     digest = hashlib.sha256(f"{command}:{target}".encode()).hexdigest()[:8]
-    return os.path.join(runs_root(), f"{command}-{slug}-{digest}")
+    return os.path.join(config.current().runs_dir, f"{command}-{slug}-{digest}")
 
 
 def write_meta(

@@ -11,8 +11,6 @@ from .budget import (
     BudgetExceeded,
     BudgetMeter,
     FailureReason,
-    resolve_budget,
-    resolve_retries,
 )
 from .cache import DiskCache, QueryCache, install_cache, query_cache
 from .cnf import CnfBuilder, TermTable, term_key
@@ -53,9 +51,7 @@ __all__ = [
     "parse_fault_spec",
     "query_cache",
     "query_of",
-    "resolve_budget",
     "resolve_jobs",
-    "resolve_retries",
     "shutdown_pool",
     "solve_epr",
     "solve_queries",

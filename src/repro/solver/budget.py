@@ -17,20 +17,15 @@ process (periodic deadline and cap checks in the DPLL loop and during
 grounding) and *external* in :mod:`repro.solver.dispatch` (per-worker
 deadline with SIGKILL, retry with :meth:`Budget.escalated`).
 
-``resolve_budget`` builds a budget from the ``REPRO_TIMEOUT``,
-``REPRO_CONFLICT_BUDGET``, and ``REPRO_MEMORY_MB`` environment variables;
-malformed values are ignored with a one-line stderr warning (see
-:func:`warn_env`), never silently.  The boolean variables elsewhere
-(``REPRO_CACHE``, ``REPRO_CACHE_PERSIST``, ``REPRO_LEDGER``,
-``REPRO_SLICE``, ``REPRO_JOURNAL``) are read through :func:`env_flag`,
-which warns the same way.
+The limits a run applies to every query come from its
+:class:`repro.config.RunConfig` (``REPRO_TIMEOUT``,
+``REPRO_CONFLICT_BUDGET``, ``REPRO_MEMORY_MB`` or the matching flags):
+:meth:`~repro.config.RunConfig.budget`.
 """
 
 from __future__ import annotations
 
 import enum
-import os
-import sys
 import time
 from dataclasses import dataclass, replace
 
@@ -53,20 +48,6 @@ class BudgetExceeded(Exception):
         self.reason = reason
         self.detail = detail
         super().__init__(f"{reason.value}{': ' + detail if detail else ''}")
-
-
-def warn_env(name: str, value: str, hint: str = "") -> None:
-    """One-line stderr warning for a malformed environment variable.
-
-    Used instead of silently falling back to the default: a typo'd
-    ``REPRO_JOBS=8x`` quietly running serial wastes hours before anyone
-    notices.
-    """
-    suffix = f" ({hint})" if hint else ""
-    print(
-        f"repro: warning: ignoring malformed {name}={value!r}{suffix}",
-        file=sys.stderr,
-    )
 
 
 @dataclass(frozen=True)
@@ -177,80 +158,3 @@ class BudgetMeter:
             )
         if self.instances % 512 == 0:
             self.check_deadline()
-
-
-def _env_float(name: str) -> float | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-        if value <= 0:
-            raise ValueError
-        return value
-    except ValueError:
-        warn_env(name, raw, "expected a positive number")
-        return None
-
-
-def _env_int(name: str, minimum: int = 1) -> int | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-        if value < minimum:
-            raise ValueError
-        return value
-    except ValueError:
-        warn_env(name, raw, f"expected an integer >= {minimum}")
-        return None
-
-
-def env_flag(name: str, default: bool) -> bool:
-    """A boolean environment variable, read at call time.
-
-    Case-insensitive ``1/true/yes/on`` and ``0/false/no/off``; unset or
-    empty gives ``default``, and so does anything else, after a
-    :func:`warn_env` line.
-    """
-    raw = os.environ.get(name, "").strip()
-    value = raw.lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    if raw:
-        warn_env(name, raw, "expected 1/true/yes/on or 0/false/no/off")
-        # Flags are read per query: blank it so it warns once, here and
-        # in workers forked later.
-        os.environ[name] = ""
-    return default
-
-
-def resolve_budget(
-    wall_seconds: float | None = None,
-    conflicts: int | None = None,
-    rss_mb: int | None = None,
-) -> Budget | None:
-    """The effective budget: explicit arguments, else environment, else None.
-
-    Reads ``REPRO_TIMEOUT`` (seconds), ``REPRO_CONFLICT_BUDGET``, and
-    ``REPRO_MEMORY_MB`` for any limit not given explicitly.  Returns None
-    (no budget at all) when every limit ends up unset, so unbudgeted runs
-    pay zero metering overhead.
-    """
-    wall = wall_seconds if wall_seconds is not None else _env_float("REPRO_TIMEOUT")
-    cap = conflicts if conflicts is not None else _env_int("REPRO_CONFLICT_BUDGET")
-    rss = rss_mb if rss_mb is not None else _env_int("REPRO_MEMORY_MB")
-    if wall is None and cap is None and rss is None:
-        return None
-    return Budget(wall_seconds=wall, conflicts=cap, rss_mb=rss)
-
-
-def resolve_retries(retries: int | None = None) -> int:
-    """Retry count for crashed/hung workers: argument, ``REPRO_RETRIES``, 2."""
-    if retries is not None:
-        return max(0, retries)
-    env = _env_int("REPRO_RETRIES", minimum=0)
-    return env if env is not None else 2

@@ -17,10 +17,10 @@ This is what lets Houdini re-checks and UPDR frame pushes that repeat an
 earlier obligation be answered without re-solving.  The cache is enabled
 by default and bounded with **LRU eviction** (a long UPDR run cycles
 through thousands of one-off obligations; FIFO would evict the hot
-recurring ones).  ``REPRO_CACHE_SIZE`` overrides the default capacity,
-``REPRO_CACHE=0`` disables caching entirely, e.g. when benchmarking raw
-solver performance; both are read at :func:`query_cache` call time, so an
-environment change after import (or a test's ``monkeypatch.setenv``) takes
+recurring ones).  ``REPRO_CACHE=0`` (``--no-cache``) disables caching
+entirely, e.g. when benchmarking raw solver performance; it is read from
+the run's :func:`repro.config.current` at every :func:`query_cache`
+call, so a config installed with :func:`repro.config.using` takes
 effect on the next query.  UNKNOWN results (budget exhaustion, worker
 crashes) are never stored: they prove nothing, and a retry with a larger
 budget must actually re-solve.
@@ -31,12 +31,13 @@ Two tiers, repository-style (index in front of a store):
   process-local;
 * the optional :class:`DiskCache` underneath is a **content-addressed
   store** shared across processes and runs.  ``REPRO_CACHE_PERSIST=1``
-  enables it; entries live under ``REPRO_CACHE_DIR`` (default
-  ``.repro-cache/``) in shards keyed by the SHA-256 of the query key.
-  Lookups fetch through: a memory miss consults the disk and promotes
-  hits into memory.  The on-disk mechanics -- atomic
-  writes, sha256 sharding, corrupt-entry healing under the store lock,
-  retry with backoff on transient I/O errors -- live in the shared
+  (``--persist-cache``) enables it; entries live under
+  ``REPRO_CACHE_DIR`` (``--cache-dir``, default ``.repro-cache/``) in
+  shards keyed by the SHA-256 of the query key.  Lookups fetch through:
+  a memory miss consults the disk and promotes hits into memory.  The
+  on-disk mechanics -- atomic writes, sha256 sharding, corrupt-entry
+  healing under the store lock, retry with backoff on transient I/O
+  errors -- live in the shared
   :class:`repro.store.ShardedStore`; a damaged store degrades to
   re-solving, never to a wrong answer or a crash.
 
@@ -52,23 +53,18 @@ make every worker re-solve.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Hashable
 
-from .. import obs
+from .. import config, obs
 from ..obs import profile
 from ..store import ShardedStore
-from .budget import _env_int, env_flag
 
 if TYPE_CHECKING:  # pragma: no cover
     from .epr import EprResult
 
 DEFAULT_CAPACITY = 4096
-
-#: default on-disk store location, relative to the working directory
-DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: serialization format version; bump to invalidate old on-disk entries
 #: (2: keys are solver-input digests, no longer grounded-CNF digests)
@@ -221,43 +217,20 @@ _installed = False
 _generation = 0
 
 
-def _disabled_by_env() -> bool:
-    """``REPRO_CACHE=0`` (read at call time, not import time)."""
-    return not env_flag("REPRO_CACHE", True)
-
-
-def _env_capacity() -> int:
-    value = _env_int("REPRO_CACHE_SIZE")
-    return value if value is not None else DEFAULT_CAPACITY
-
-
-def persistence_enabled() -> bool:
-    """``REPRO_CACHE_PERSIST`` truthy (read at call time)."""
-    return env_flag("REPRO_CACHE_PERSIST", False)
-
-
-def cache_dir() -> str:
-    """The on-disk store location: ``REPRO_CACHE_DIR`` or ``.repro-cache``."""
-    return os.environ.get("REPRO_CACHE_DIR", "").strip() or DEFAULT_CACHE_DIR
-
-
-def _build_from_env() -> QueryCache:
-    disk = DiskCache(cache_dir()) if persistence_enabled() else None
-    return QueryCache(capacity=_env_capacity(), disk=disk)
-
-
 def query_cache(refresh: bool = False) -> QueryCache | None:
-    """The process-global cache, or None when caching is disabled.
+    """The process-global cache, or None when the run config disables it.
 
     ``refresh=True`` discards the current cache and rebuilds it from the
-    environment (used by tests exercising ``REPRO_CACHE_SIZE`` /
-    ``REPRO_CACHE_DIR`` / ``REPRO_CACHE_PERSIST``).
+    run config (a fresh in-memory tier, plus the disk tier when
+    ``cache_persist`` is on).
     """
     global _cache, _installed, _generation
-    if _disabled_by_env():
+    cfg = config.current()
+    if not cfg.cache:
         return None
     if refresh or not _installed:
-        _cache = _build_from_env()
+        disk = DiskCache(cfg.cache_dir) if cfg.cache_persist else None
+        _cache = QueryCache(disk=disk)
         _installed = True
         _generation += 1
     return _cache
@@ -266,7 +239,8 @@ def query_cache(refresh: bool = False) -> QueryCache | None:
 def install_cache(cache: QueryCache | None) -> QueryCache | None:
     """Replace the process-global cache (None disables); returns the old one.
 
-    Tests use this to isolate cache state; ``REPRO_CACHE=0`` still wins.
+    Tests use this to isolate cache state; a config with ``cache`` off
+    still wins.
     """
     global _cache, _installed, _generation
     old = _cache
@@ -285,9 +259,9 @@ def cache_snapshot() -> tuple[int, tuple[int, str | None] | None]:
 
     ``config`` is None when caching is disabled, else ``(capacity,
     disk_root)`` describing the parent's cache.  The *configuration*
-    travels explicitly (rather than "rebuild from the environment")
-    because a pool worker's environment is frozen at fork time -- a
-    ``REPRO_CACHE_DIR`` set in the parent afterwards would never reach it.
+    travels explicitly (rather than "rebuild from the run config")
+    because a pool worker's config is frozen at fork time -- a cache
+    directory the parent switches to afterwards would never reach it.
     """
     cache = query_cache()
     if cache is None:

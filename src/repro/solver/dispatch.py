@@ -65,10 +65,9 @@ Fault tolerance (the parent never trusts a worker):
   each task and convert ``MemoryError`` into an UNKNOWN(MEMORY) answer.
 
 Worker count resolution: the explicit ``jobs`` argument wins, then the
-``REPRO_JOBS`` environment variable (malformed values are warned about on
-stderr, not silently ignored), then 1 (serial).  Serial and parallel runs
-return identical conclusive answers: workers run the same deterministic
-solver code.  Platforms without the ``fork`` start method fall back to
+run config's ``jobs`` (:mod:`repro.config`: ``--jobs`` or ``REPRO_JOBS``,
+default 1, serial).  Serial and parallel runs return identical
+conclusive answers: workers run the same deterministic solver code.  Platforms without the ``fork`` start method fall back to
 serial execution rather than paying spawn-and-reimport per worker.
 """
 
@@ -83,7 +82,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
-from .. import obs
+from .. import config, obs
 from ..obs import profile
 from ..obs.metrics import MetricsRegistry, install_metrics
 from ..logic import syntax as s
@@ -91,7 +90,7 @@ from ..logic.sorts import Vocabulary
 from ..recovery import heartbeat
 from . import cache as cache_mod
 from . import faults
-from .budget import Budget, BudgetExceeded, FailureReason, resolve_retries, warn_env
+from .budget import Budget, BudgetExceeded, FailureReason
 from .epr import EprResult, EprSolver, unanswered
 from .grounding import GroundingExplosion
 
@@ -106,16 +105,8 @@ _SHRINK_THRESHOLD = 3
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
-    """The worker count to use: argument, else ``REPRO_JOBS``, else 1."""
-    if jobs is not None:
-        return max(1, jobs)
-    env = os.environ.get("REPRO_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            warn_env("REPRO_JOBS", env, "expected a positive integer")
-    return 1
+    """The worker count to use: argument, else the run config's ``jobs``."""
+    return max(1, config.current().jobs if jobs is None else jobs)
 
 
 @dataclass(frozen=True)
@@ -531,9 +522,9 @@ def solve_queries(
     """Solve a batch of independent queries, one result list per query.
 
     Fault-tolerant in parallel mode: crashed or hung workers are replaced
-    and their tasks retried up to ``retries`` times (argument, else
-    ``REPRO_RETRIES``, else 2) with exponentially escalated budgets; a
-    query still unanswered after that is finished in-process
+    and their tasks retried up to ``retries`` times (argument, else the
+    run config's ``retries``, default 2) with exponentially escalated
+    budgets; a query still unanswered after that is finished in-process
     (``fallback=True``, the default) or reported as UNKNOWN with the
     failure that killed its last attempt.  A pool batch runs under one
     ``dispatch.batch`` span.
@@ -549,7 +540,8 @@ def solve_queries(
         return batches
     with obs.span("dispatch.batch", queries=len(queries)):
         return _solve_parallel(
-            list(queries), workers, context, resolve_retries(retries), fallback
+            list(queries), workers, context,
+            config.current().retries if retries is None else retries, fallback,
         )
 
 
@@ -605,7 +597,7 @@ def _solve_parallel(
     wedged_count = lost_count = 0
     next_shrink = _SHRINK_THRESHOLD
     seq = 0
-    beat_timeout = heartbeat.heartbeat_timeout()
+    beat_timeout = config.current().heartbeat_timeout
 
     def deliver(record: _Running, conn) -> bool:
         """Receive and account one result; False when the read fails.

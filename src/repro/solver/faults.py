@@ -17,8 +17,9 @@ are reproducible and a retried attempt can draw a different outcome:
 * ``slow`` -- the worker sleeps ``slow_seconds`` before solving (simulates
   the 1000x-slower-than-its-siblings query).
 
-Plans come from the ``REPRO_FAULT`` environment variable
-(``REPRO_FAULT=crash:0.2,hang:0.1,slow:0.3:1.5,seed:7``) or the
+Plans come from the run config's ``fault`` field, which
+:mod:`repro.config` parses from the ``REPRO_FAULT`` environment variable
+(``REPRO_FAULT=crash:0.2,hang:0.1,slow:0.3:1.5,seed:7``), or from the
 programmatic :func:`install_fault_plan` hook.  Faults only ever fire
 inside forked worker processes (:func:`mark_worker` is called after the
 fork): the dispatch parent and the in-process serial fallback are always
@@ -44,7 +45,7 @@ import signal
 import time
 from dataclasses import dataclass
 
-from .budget import warn_env
+from .. import config
 
 #: exit code used by injected crashes, distinctive in worker diagnostics
 CRASH_EXIT_CODE = 86
@@ -139,8 +140,8 @@ def install_fault_plan(plan: FaultPlan | None) -> FaultPlan | None:
     """Programmatic hook: set (or clear with None) the active fault plan.
 
     Returns the previously installed plan.  An installed plan takes
-    precedence over ``REPRO_FAULT``; workers inherit it through fork.
-    Passing None re-enables the environment variable -- use
+    precedence over the run config's ``REPRO_FAULT`` plan; workers inherit
+    it through fork.  Passing None re-enables the config's plan -- use
     ``install_fault_plan(FaultPlan())`` for a hard "no faults".
     """
     global _installed, _installed_explicitly
@@ -151,19 +152,10 @@ def install_fault_plan(plan: FaultPlan | None) -> FaultPlan | None:
 
 
 def active_plan() -> FaultPlan | None:
-    """The plan faults are drawn from: installed hook, else ``REPRO_FAULT``."""
+    """The plan faults are drawn from: installed hook, else the run config's."""
     if _installed_explicitly:
         return _installed if _installed and not _plan_is_noop(_installed) else None
-    spec = os.environ.get("REPRO_FAULT", "").strip()
-    if not spec or spec in ("0", "off", "none"):
-        return None
-    plan = parse_fault_spec(spec)
-    if plan is None:
-        warn_env("REPRO_FAULT", spec, "expected e.g. crash:0.2,hang:0.1,seed:7")
-        # Do not re-warn on every worker spawn.
-        os.environ["REPRO_FAULT"] = ""
-        return None
-    return plan
+    return config.current().fault
 
 
 def _plan_is_noop(plan: FaultPlan) -> bool:

@@ -9,7 +9,6 @@ from repro.analysis.deps import (
     formula_footprint,
     slice_hypotheses,
     slice_vc,
-    slicing_enabled,
     transition_footprints,
 )
 from repro.core.induction import Conjecture, check_inductive, obligations
@@ -206,9 +205,8 @@ class TestObligationSlicing:
             rel.name == "pc" for rel in consecution.sliced_vocab.relations
         )
 
-    def test_slicing_disabled_by_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLICE", "0")
-        assert not slicing_enabled()
+    def test_slicing_disabled_by_flag(self, configure):
+        configure(slice=False)
         program = parse_program(TOY, check=False)
         conjectures = [Conjecture(i.name, i.formula) for i in program.invariants]
         for obligation in obligations(program, conjectures):
@@ -216,19 +214,19 @@ class TestObligationSlicing:
             assert obligation.sliced_vocab is None
             assert obligation.sliced_dropped == ()
 
-    def test_explicit_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLICE", "0")
+    def test_explicit_override_beats_env(self, configure):
+        configure(slice=False)
         program = parse_program(TOY, check=False)
         conjectures = [Conjecture(i.name, i.formula) for i in program.invariants]
         pending = obligations(program, conjectures, sliced=True)
         assert any(o.sliced_vc is not None for o in pending)
 
-    def test_verdict_identical_sliced_and_unsliced(self, monkeypatch):
+    def test_verdict_identical_sliced_and_unsliced(self, configure):
         program = parse_program(TOY, check=False)
         conjectures = [Conjecture(i.name, i.formula) for i in program.invariants]
-        monkeypatch.setenv("REPRO_SLICE", "1")
+        configure(slice=True)
         sliced = check_inductive(program, conjectures)
-        monkeypatch.setenv("REPRO_SLICE", "0")
+        configure(slice=False)
         full = check_inductive(program, conjectures)
         assert sliced.holds == full.holds is True
 

@@ -31,17 +31,17 @@ def fresh_cache_no_faults():
     install_cache(old_cache)
 
 
-def _check(name, monkeypatch, *, slice_on=True, **kwargs):
-    monkeypatch.setenv("REPRO_SLICE", "1" if slice_on else "0")
+def _check(name, configure, *, slice_on=True, **kwargs):
+    configure(slice=slice_on)
     bundle = ALL_PROTOCOLS[name].build()
     return check_inductive(bundle.program, list(bundle.invariant), **kwargs)
 
 
 class TestSliceDifferential:
     @pytest.mark.parametrize("name", FAST_PROTOCOLS)
-    def test_verdict_identical(self, name, monkeypatch):
-        sliced = _check(name, monkeypatch, slice_on=True)
-        full = _check(name, monkeypatch, slice_on=False)
+    def test_verdict_identical(self, name, configure):
+        sliced = _check(name, configure, slice_on=True)
+        full = _check(name, configure, slice_on=False)
         assert sliced.holds == full.holds is True
         assert sliced.cti is None and full.cti is None
 
@@ -49,19 +49,19 @@ class TestSliceDifferential:
     @pytest.mark.parametrize(
         "name", sorted(set(ALL_PROTOCOLS) - set(FAST_PROTOCOLS))
     )
-    def test_verdict_identical_slow(self, name, monkeypatch):
-        sliced = _check(name, monkeypatch, slice_on=True)
-        full = _check(name, monkeypatch, slice_on=False)
+    def test_verdict_identical_slow(self, name, configure):
+        sliced = _check(name, configure, slice_on=True)
+        full = _check(name, configure, slice_on=False)
         assert sliced.holds == full.holds is True
 
     @pytest.mark.parametrize("name", FAST_PROTOCOLS)
     def test_slicing_actually_reduces_instances(
-        self, name, monkeypatch, metrics_registry
+        self, name, configure, metrics_registry
     ):
         def instances(slice_on: bool) -> int:
             registry = MetricsRegistry()
             install_metrics(registry)
-            _check(name, monkeypatch, slice_on=slice_on)
+            _check(name, configure, slice_on=slice_on)
             return registry.counter(
                 "solver_work_total", counter="instances"
             ).value
@@ -70,7 +70,7 @@ class TestSliceDifferential:
         sliced, full = instances(True), instances(False)
         assert 0 < sliced <= 0.7 * full, (sliced, full)
 
-    def test_cti_identical_on_weakened_invariant(self, monkeypatch):
+    def test_cti_identical_on_weakened_invariant(self, configure):
         """A failing check must show the same CTI with and without slicing.
 
         Dropping all but the mutex conjecture breaks inductiveness
@@ -83,9 +83,9 @@ class TestSliceDifferential:
         def run():
             return check_inductive(bundle.program, weakened)
 
-        monkeypatch.setenv("REPRO_SLICE", "1")
+        configure(slice=True)
         sliced = run()
-        monkeypatch.setenv("REPRO_SLICE", "0")
+        configure(slice=False)
         full = run()
         assert sliced.holds == full.holds is False
         assert sliced.cti is not None and full.cti is not None
@@ -95,12 +95,12 @@ class TestSliceDifferential:
 class TestChaosWithSlicing:
     @needs_fork
     def test_dispatch_verdict_stable_under_crashes(
-        self, monkeypatch, metrics_registry
+        self, configure, metrics_registry
     ):
         """Sliced parallel dispatch survives worker crashes unchanged."""
         from repro.solver import parse_fault_spec
 
-        monkeypatch.setenv("REPRO_SLICE", "1")
+        configure(slice=True)
         bundle = ALL_PROTOCOLS["lock_server"].build()
         baseline = check_inductive(bundle.program, list(bundle.invariant), jobs=2)
         install_fault_plan(parse_fault_spec("crash:0.3,seed:7"))

@@ -8,6 +8,8 @@ structure helpers rely on.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import os
 import signal
 
@@ -22,6 +24,21 @@ from repro.protocols import leader_election
 #: default: single-CPU machines run some slow-tier protocol checks for
 #: several minutes (CI tiers set tighter explicit values).
 _TEST_DEADLINE = 900
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_collection_modifyitems(items):
+    """Run the ``slow`` tier after everything else, each tier in
+    collection order.
+
+    The slow tier is under a tenth of the tests but over nine tenths of
+    the wall time (minutes of depth-2 BMC and full sessions), so this way
+    every fast test has reported -- and ``-x`` has stopped at a fast
+    failure -- within the first minute or two.  Runs after the fixture
+    plugin's reordering, so the split is not undone; a module whose tests
+    fall in both tiers sets its module fixtures up once per tier.
+    """
+    items.sort(key=lambda item: item.get_closest_marker("slow") is not None)
 
 
 @pytest.fixture(autouse=True)
@@ -60,6 +77,25 @@ def metrics_registry():
     old = install_metrics(registry)
     yield registry
     install_metrics(old)
+
+
+@pytest.fixture
+def configure():
+    """``configure(**fields)`` runs the rest of the test under the current
+    run config with ``fields`` replaced; the old config comes back after.
+
+    Replacing fields (not building a fresh ``RunConfig``) keeps the
+    ``REPRO_FAULT`` plan a chaos run exports.
+    """
+    from repro import config
+
+    with contextlib.ExitStack() as stack:
+
+        def apply(**fields):
+            changed = dataclasses.replace(config.current(), **fields)
+            return stack.enter_context(config.using(changed))
+
+        yield apply
 
 
 @pytest.fixture(scope="session")

@@ -97,6 +97,24 @@ class TestLeaderElection:
         bad = Conjecture("b", parse_formula("forall N:node. leader(N)", vocab))
         assert check_initiation(leader_bundle.program, bad).satisfiable
 
+    def test_initiation_check_builds_only_its_obligation(
+        self, leader_bundle, monkeypatch
+    ):
+        from repro.core import induction
+
+        commands = []
+
+        def counting_wp(command, *args):
+            commands.append(command)
+            return wp(command, *args)
+
+        wp = induction.wp
+        monkeypatch.setattr(induction, "wp", counting_wp)
+        vocab = leader_bundle.program.vocab
+        good = Conjecture("g", parse_formula("forall N:node. ~leader(N)", vocab))
+        check_initiation(leader_bundle.program, good)
+        assert commands == [leader_bundle.program.init]
+
     @pytest.mark.slow
     def test_obligation_vc_satisfiability_matches(self, leader_bundle):
         obls = obligations(leader_bundle.program, list(leader_bundle.invariant))

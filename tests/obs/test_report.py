@@ -189,12 +189,9 @@ class TestTracedBmc:
     covers solver answers only."""
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_probe_spans_name_their_source(
-        self, tmp_path, capsys, monkeypatch, jobs
-    ):
-        monkeypatch.setenv("REPRO_CACHE", "0")  # what --no-cache exports
+    def test_probe_spans_name_their_source(self, tmp_path, capsys, jobs):
         argv = [
-            "bmc", "lock_server", "-k", "2", "-j", jobs,
+            "bmc", "lock_server", "-k", "2", "-j", jobs, "--no-cache",
             "--run-dir", str(tmp_path / "rd"),
         ]
 

@@ -16,8 +16,6 @@ from repro.proof.ledger import (
     LedgerEntry,
     default_ledger,
     keys_of,
-    ledger_dir,
-    ledger_enabled,
     lemma_set_fingerprint,
     program_fingerprint,
 )
@@ -197,17 +195,13 @@ def test_entries_scan_does_not_inflate_hits(tmp_path, bundle):
     assert ledger.hits == 0
 
 
-# --------------------------------------------------------------- environment
+# ------------------------------------------------------------- configuration
 
 
-def test_ledger_env_toggles(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_LEDGER", "0")
-    assert not ledger_enabled()
+def test_ledger_env_toggles(tmp_path, configure):
+    configure(ledger=False)
     assert default_ledger() is None
-    monkeypatch.setenv("REPRO_LEDGER", "1")
-    monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path))
-    assert ledger_enabled()
-    assert ledger_dir() == str(tmp_path)
+    configure(ledger=True, ledger_dir=str(tmp_path))
     ledger = default_ledger()
     assert ledger is not None and ledger.root == str(tmp_path)
 

@@ -207,13 +207,13 @@ def test_identical_obligations_share_one_ledger_entry(tmp_path):
 @pytest.mark.parametrize(
     "name, instances", [("lock_server", 597), ("leader_election", 4558)]
 )
-def test_parallel_and_serial_prove_agree(name, instances, tmp_path, monkeypatch):
+def test_parallel_and_serial_prove_agree(name, instances, tmp_path, configure):
     """``-j 2`` discharges like ``-j 1``: sliced queries, same answers."""
     from repro import obs
     from repro.protocols import ALL_PROTOCOLS
     from repro.solver.dispatch import shutdown_pool
 
-    monkeypatch.setenv("REPRO_CACHE", "0")
+    configure(cache=False)
     plan = plan_of(ALL_PROTOCOLS[name].build().program)
     runs = []
     for jobs in (1, 2):

@@ -8,6 +8,7 @@ import pytest
 from repro.logic import RelDecl, Sort, Var, vocabulary
 from repro.logic import syntax as s
 from repro.recovery import heartbeat
+from repro.solver import FaultPlan
 from repro.solver.dispatch import shutdown_pool, solve_queries
 from repro.solver.epr import EprSolver
 
@@ -52,32 +53,6 @@ class TestBeat:
         assert not heartbeat.armed()
 
 
-class TestTimeout:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_HEARTBEAT_TIMEOUT", raising=False)
-        assert heartbeat.heartbeat_timeout() == heartbeat.DEFAULT_TIMEOUT
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "7.5")
-        assert heartbeat.heartbeat_timeout() == 7.5
-
-    def test_malformed_falls_back(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "soon")
-        assert heartbeat.heartbeat_timeout() == heartbeat.DEFAULT_TIMEOUT
-        assert (
-            "ignoring malformed REPRO_HEARTBEAT_TIMEOUT='soon'"
-            in capsys.readouterr().err
-        )
-        # warned once: later batches read the default silently
-        assert heartbeat.heartbeat_timeout() == heartbeat.DEFAULT_TIMEOUT
-        assert capsys.readouterr().err == ""
-
-    def test_non_positive_disables(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "0")
-        assert heartbeat.heartbeat_timeout() == 0.0
-        assert capsys.readouterr().err == ""
-
-
 needs_fork = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="requires the fork start method"
 )
@@ -100,14 +75,16 @@ def _queries(count):
 @needs_fork
 class TestWedgeWatchdog:
     def test_silently_hung_worker_is_killed_and_work_retried(
-        self, monkeypatch, metrics_registry
+        self, configure, metrics_registry
     ):
         """A worker that stops beating is SIGKILLed by the watchdog well
         before any wall deadline, and its query still completes (retry or
         in-process fallback)."""
-        monkeypatch.setenv("REPRO_FAULT", "hang:1.0:600,seed:3")
-        monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "1.0")
-        monkeypatch.setenv("REPRO_RETRIES", "0")
+        configure(
+            fault=FaultPlan(hang=1.0, hang_seconds=600.0, seed=3),
+            heartbeat_timeout=1.0,
+            retries=0,
+        )
         try:
             from repro.solver.dispatch import query_of
 
@@ -121,7 +98,6 @@ class TestWedgeWatchdog:
             ]
         finally:
             shutdown_pool()
-            monkeypatch.delenv("REPRO_FAULT")
         assert all(result.satisfiable for result in results)
         counters = metrics_registry.to_dict()["counters"]
         assert counters.get("worker_wedged_total", 0) >= 1

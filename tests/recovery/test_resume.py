@@ -12,15 +12,14 @@ from repro.recovery.resume import (
     RunMeta,
     default_run_dir,
     load_meta,
-    runs_root,
     write_meta,
 )
 from repro.recovery.signals import Interrupted, install_handlers
 
 
 class TestRunDir:
-    def test_deterministic(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RUNS_DIR", raising=False)
+    def test_deterministic(self, configure):
+        configure(runs_dir=".repro-runs")
         first = default_run_dir("verify", "examples/lock_server.rml")
         second = default_run_dir("verify", "examples/lock_server.rml")
         assert first == second
@@ -36,11 +35,6 @@ class TestRunDir:
         assert default_run_dir("check", "lock_server") != default_run_dir(
             "bmc", "lock_server"
         )
-
-    def test_env_root(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
-        assert runs_root() == str(tmp_path / "runs")
-        assert default_run_dir("check", "x").startswith(str(tmp_path))
 
 
 class TestMeta:

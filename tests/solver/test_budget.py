@@ -1,16 +1,9 @@
-"""Budgets: cooperative enforcement, UNKNOWN verdicts, env resolution."""
-
-import argparse
+"""Budgets: cooperative enforcement and UNKNOWN verdicts."""
 
 import pytest
 
-import repro.analysis.deps as deps_module
-import repro.proof.ledger as ledger_module
-import repro.solver.cache as cache_module
-from repro import cli
 from repro.logic import RelDecl, Sort, Var, vocabulary
 from repro.logic import syntax as s
-from repro.recovery import set_active_journal
 from repro.solver import (
     Budget,
     BudgetExceeded,
@@ -18,8 +11,6 @@ from repro.solver import (
     FailureReason,
     QueryCache,
     install_cache,
-    resolve_budget,
-    resolve_retries,
 )
 
 elem = Sort("elem")
@@ -150,105 +141,3 @@ class TestUnknownCounting:
         counters = metrics_registry.to_dict()["counters"]
         assert counters["queries_total{verdict=unknown}"] == 1
         assert counters["cache_misses_total"] == 1
-
-
-class TestEnvResolution:
-    def test_explicit_arguments_win(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMEOUT", "99")
-        budget = resolve_budget(wall_seconds=1.0, conflicts=5)
-        assert budget.wall_seconds == 1.0 and budget.conflicts == 5
-
-    def test_env_fills_gaps(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMEOUT", "2.5")
-        monkeypatch.setenv("REPRO_CONFLICT_BUDGET", "123")
-        monkeypatch.setenv("REPRO_MEMORY_MB", "256")
-        budget = resolve_budget()
-        assert budget.wall_seconds == 2.5
-        assert budget.conflicts == 123
-        assert budget.rss_mb == 256
-
-    def test_all_unset_returns_none(self, monkeypatch):
-        for name in ("REPRO_TIMEOUT", "REPRO_CONFLICT_BUDGET", "REPRO_MEMORY_MB"):
-            monkeypatch.delenv(name, raising=False)
-        assert resolve_budget() is None
-
-    def test_malformed_env_warns_and_ignores(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_TIMEOUT", "fast")
-        monkeypatch.setenv("REPRO_CONFLICT_BUDGET", "-3")
-        assert resolve_budget() is None
-        err = capsys.readouterr().err
-        assert "REPRO_TIMEOUT" in err and "'fast'" in err
-        assert "REPRO_CONFLICT_BUDGET" in err
-
-    def test_resolve_retries(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RETRIES", raising=False)
-        assert resolve_retries() == 2
-        assert resolve_retries(0) == 0
-        assert resolve_retries(5) == 5
-        monkeypatch.setenv("REPRO_RETRIES", "0")
-        assert resolve_retries() == 0
-        monkeypatch.setenv("REPRO_RETRIES", "7")
-        assert resolve_retries() == 7
-
-    def test_malformed_retries_warns(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_RETRIES", "many")
-        assert resolve_retries() == 2
-        assert "REPRO_RETRIES" in capsys.readouterr().err
-
-
-
-def _journaling() -> bool:
-    """Does ``repro check`` open a journal under the current environment?"""
-    args = argparse.Namespace(
-        command="check", protocol="lock_server", run_dir=None, resume=False
-    )
-    journal, _ = cli._open_journal(args, ["check", "lock_server"])
-    if journal is None:
-        return False
-    journal.close()
-    set_active_journal(None)
-    return True
-
-
-#: each boolean variable: its default, and its reader
-FLAG_READERS = {
-    "REPRO_CACHE": (True, lambda: not cache_module._disabled_by_env()),
-    "REPRO_CACHE_PERSIST": (False, cache_module.persistence_enabled),
-    "REPRO_LEDGER": (True, ledger_module.ledger_enabled),
-    "REPRO_SLICE": (True, deps_module.slicing_enabled),
-    "REPRO_JOURNAL": (False, _journaling),
-}
-
-
-class TestEnvFlag:
-    @pytest.fixture(autouse=True)
-    def runs_dir(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
-
-    @pytest.mark.parametrize("name", sorted(FLAG_READERS))
-    @pytest.mark.parametrize(
-        "raw, expected",
-        [
-            ("1", True), ("true", True), ("YES", True), ("on", True),
-            ("On", True), ("0", False), ("false", False), ("No", False),
-            ("off", False), ("OFF", False),
-        ],
-    )
-    def test_spellings(self, name, raw, expected, monkeypatch, capsys):
-        monkeypatch.setenv(name, raw)
-        assert FLAG_READERS[name][1]() is expected
-        assert "warning" not in capsys.readouterr().err
-
-    @pytest.mark.parametrize("name", sorted(FLAG_READERS))
-    def test_malformed_warns_once_and_keeps_default(self, name, monkeypatch, capsys):
-        monkeypatch.setenv(name, "maybe")
-        default, read = FLAG_READERS[name]
-        assert read() is default
-        assert read() is default
-        assert capsys.readouterr().err.count(f"{name}='maybe'") == 1
-
-    @pytest.mark.parametrize("name", sorted(FLAG_READERS))
-    def test_unset_is_default(self, name, monkeypatch):
-        monkeypatch.delenv(name, raising=False)
-        default, read = FLAG_READERS[name]
-        assert read() is default

@@ -11,6 +11,7 @@ import pickle
 
 import pytest
 
+from repro.config import RunConfig
 from repro.logic import RelDecl, Sort, Var, vocabulary
 from repro.logic import syntax as s
 from repro.obs import MetricsRegistry, install_metrics
@@ -183,30 +184,29 @@ class TestLookupBeforeGrounding:
 
 
 class TestCacheEnv:
-    def test_repro_cache_read_at_call_time(self, monkeypatch):
-        # Regression: REPRO_CACHE was read at import time, so setting it
-        # after import (monkeypatch, late exports) silently did nothing.
+    def test_repro_cache_read_at_call_time(self, configure):
+        # Regression: REPRO_CACHE was read at import time, so a later
+        # change silently did nothing; the config is read per query.
         assert query_cache() is not None
-        monkeypatch.setenv("REPRO_CACHE", "0")
+        configure(cache=False)
         assert query_cache() is None
-        monkeypatch.setenv("REPRO_CACHE", "1")
+        configure(cache=True)
         assert query_cache() is not None
 
-    def test_cache_dir_env_isolation(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_PERSIST", "1")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "a"))
+    def test_cache_dir_env_isolation(self, configure, tmp_path):
+        configure(cache_persist=True, cache_dir=str(tmp_path / "a"))
         cache_a = query_cache(refresh=True)
         assert cache_a.disk is not None
         cache_a.store("key", _result())
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "b"))
+        configure(cache_dir=str(tmp_path / "b"))
         cache_b = query_cache(refresh=True)
         assert cache_b.lookup("key") is None  # different store
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "a"))
+        configure(cache_dir=str(tmp_path / "a"))
         cache_a2 = query_cache(refresh=True)
         assert cache_a2.lookup("key") is not None  # same store, cold memory
 
-    def test_persistence_defaults_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_PERSIST", raising=False)
+    def test_persistence_defaults_off(self, configure):
+        configure(cache_persist=RunConfig().cache_persist)
         assert query_cache(refresh=True).disk is None
 
 
@@ -255,10 +255,9 @@ class TestWorkerPool:
         assert metrics_registry.counter("cache_hits_total").value == 0
 
     def test_pool_shares_disk_store_across_batches(
-        self, tmp_path, monkeypatch, metrics_registry
+        self, tmp_path, configure, metrics_registry
     ):
-        monkeypatch.setenv("REPRO_CACHE_PERSIST", "1")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        configure(cache_persist=True, cache_dir=str(tmp_path))
         install_cache(query_cache(refresh=True))
         solve_queries(self._queries(), jobs=2)
         # One worker's solves are on disk for everyone -- including a

@@ -10,7 +10,6 @@ from repro.solver import (
     QueryCache,
     install_cache,
     query_of,
-    resolve_jobs,
     solve_queries,
 )
 
@@ -134,21 +133,6 @@ class TestQueryCache:
         assert metrics_registry.counter("cache_evictions_total").value == 1
         assert "1 evictions" in metrics_registry.format_stats()
 
-    def test_cache_size_env(self, monkeypatch):
-        from repro.solver.cache import DEFAULT_CAPACITY, query_cache
-
-        monkeypatch.setenv("REPRO_CACHE_SIZE", "2")
-        assert query_cache(refresh=True).capacity == 2
-        monkeypatch.delenv("REPRO_CACHE_SIZE")
-        assert query_cache(refresh=True).capacity == DEFAULT_CAPACITY
-
-    def test_cache_size_env_malformed_warns(self, monkeypatch, capsys):
-        from repro.solver.cache import DEFAULT_CAPACITY, query_cache
-
-        monkeypatch.setenv("REPRO_CACHE_SIZE", "big")
-        assert query_cache(refresh=True).capacity == DEFAULT_CAPACITY
-        assert "REPRO_CACHE_SIZE" in capsys.readouterr().err
-
 
 class TestDispatch:
     QUERIES = [
@@ -204,23 +188,6 @@ class TestDispatch:
         )
         assert _answers(metrics_registry) == {"sat": 1, "unsat": 2}
         assert metrics_registry.counter("dispatched_total").value == 3
-
-    def test_resolve_jobs_priority(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs(None) == 1
-        assert resolve_jobs(3) == 3
-        assert resolve_jobs(0) == 1
-        monkeypatch.setenv("REPRO_JOBS", "5")
-        assert resolve_jobs(None) == 5
-        assert resolve_jobs(2) == 2
-        monkeypatch.setenv("REPRO_JOBS", "junk")
-        assert resolve_jobs(None) == 1
-
-    def test_malformed_jobs_warns_on_stderr(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_JOBS", "8x")
-        assert resolve_jobs(None) == 1
-        err = capsys.readouterr().err
-        assert "REPRO_JOBS" in err and "'8x'" in err
 
     def test_serial_fallback_when_fork_unavailable(
         self, monkeypatch, metrics_registry

@@ -104,16 +104,8 @@ class TestFaultPlan:
         assert draws == [plan.decide("q1", attempt) for attempt in range(20)]
         assert "crash" in draws and None in draws  # both outcomes occur
 
-    def test_env_spec_malformed_warns_once(self, monkeypatch, capsys):
-        install_fault_plan(None)
-        monkeypatch.setenv("REPRO_FAULT", "crash:lots")
-        assert active_plan() is None
-        assert "REPRO_FAULT" in capsys.readouterr().err
-        assert active_plan() is None  # blanked: no second warning
-        assert "REPRO_FAULT" not in capsys.readouterr().err
-
-    def test_installed_plan_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT", "crash:0.9")
+    def test_installed_plan_beats_env(self, configure):
+        configure(fault=FaultPlan(crash=0.9))
         install_fault_plan(FaultPlan())  # hard "no faults"
         assert active_plan() is None
         install_fault_plan(None)

@@ -172,18 +172,64 @@ class TestCliBudgets:
         assert "obligations exhausting their budget" in out
         assert "unknown" in out  # stats verdict line includes the count
 
-    def test_retries_flag_sets_env(self, monkeypatch):
-        import os
+    def test_retries_flag_reaches_solve_queries(self, monkeypatch):
+        from repro.solver import dispatch
 
-        from repro.cli import build_parser, _budget_of
+        seen = []
+        solve_parallel = dispatch._solve_parallel
 
-        monkeypatch.delenv("REPRO_RETRIES", raising=False)
-        args = build_parser().parse_args(
-            ["bmc", "lock_server", "--retries", "4"]
-        )
-        _budget_of(args)
-        assert os.environ.get("REPRO_RETRIES") == "4"
-        monkeypatch.delenv("REPRO_RETRIES", raising=False)
+        def recording(queries, workers, context, retries, fallback):
+            seen.append(retries)
+            return solve_parallel(queries, workers, context, retries, fallback)
+
+        monkeypatch.setattr(dispatch, "_solve_parallel", recording)
+        try:
+            argv = ["check", "lock_server", "-j", "2", "--retries", "4"]
+            assert main(argv) == 0
+        finally:
+            dispatch.shutdown_pool()
+        assert seen and set(seen) == {4}
+
+
+class TestCliLeavesNoState:
+    """Flags configure their own run only: after an in-process ``main``
+    the environment and the run config are what they were before it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "lock_server", "--no-cache"],
+            ["check", "lock_server", "--no-slice"],
+            ["check", "lock_server", "--retries", "4"],
+            ["check", "lock_server", "--cache-dir", "DIR"],
+            ["prove", "lock_server", "--no-ledger"],
+            ["prove", "lock_server", "--ledger-dir", "DIR"],
+        ],
+        ids=[
+            "no-cache", "no-slice", "retries", "cache-dir", "no-ledger",
+            "ledger-dir",
+        ],
+    )
+    def test_flags_do_not_outlive_the_run(self, argv, tmp_path, capsys):
+        from repro import config
+        from repro.core.induction import check_inductive
+        from repro.protocols import lock_server
+        from repro.solver import QueryCache, install_cache
+
+        argv = [str(tmp_path / "d") if arg == "DIR" else arg for arg in argv]
+        environ, before = dict(os.environ), config.current()
+        old = install_cache(QueryCache())
+        try:
+            assert main(argv) == 0
+            assert dict(os.environ) == environ
+            assert config.current() == before
+            cache = QueryCache()
+            install_cache(cache)
+            bundle = lock_server.build()
+            assert check_inductive(bundle.program, list(bundle.invariant)).holds
+            assert cache.misses > 0  # the library uses the query cache again
+        finally:
+            install_cache(old)
 
 
 def _stats_numbers(out: str) -> dict[str, int]:
@@ -230,10 +276,10 @@ class TestCliStats:
 
     @pytest.mark.parametrize("flag", [True, False], ids=["flag", "env"])
     def test_cache_off_reports_no_cache_activity(
-        self, flag, monkeypatch, tmp_path, capsys
+        self, flag, configure, tmp_path, capsys
     ):
         # --no-cache and REPRO_CACHE=0: no misses and no cache phase
-        monkeypatch.setenv("REPRO_CACHE", "1" if flag else "0")
+        configure(cache=flag)
         metrics = tmp_path / "m.json"
         argv = ["check", "lock_server", "--stats", "--metrics", str(metrics)]
         assert main(argv + (["--no-cache"] if flag else [])) == 0
@@ -247,12 +293,11 @@ class TestCliStats:
         assert not any("phase=cache" in key for key in snapshot["histograms"])
 
     def test_evictions_reach_stats_and_metrics(
-        self, monkeypatch, tmp_path, capsys
+        self, tmp_path, capsys
     ):
-        from repro.solver.cache import install_cache, query_cache
+        from repro.solver.cache import QueryCache, install_cache
 
-        monkeypatch.setenv("REPRO_CACHE_SIZE", "1")
-        old = install_cache(query_cache(refresh=True))
+        old = install_cache(QueryCache(capacity=1))
         try:
             metrics = tmp_path / "m.json"
             main(["check", "lock_server", "--stats", "--metrics", str(metrics)])
